@@ -1,0 +1,12 @@
+"""Make ``perfbench`` and ``repro`` importable when the harness tests run alone.
+
+Run with ``python3 -m pytest perfbench/tests`` from the repository root.
+"""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for entry in (str(ROOT / "src"), str(ROOT)):
+    if entry not in sys.path:
+        sys.path.insert(0, entry)
