@@ -40,7 +40,14 @@ finite duration):
   guard (a bit-wise no-op for the exact writes, asserted in tests) —
   and rejections are tracked as :attr:`OnlineAllocator.rejected_count`
   plus a deduplicated id list, so million-event simulations neither
-  re-exponentiate nor leak memory.
+  re-exponentiate nor leak memory;
+- everything an offer reads that does not move with the loads (charged
+  and finite masks, ``load/cap`` ratios, scaled caps, user ranks, the
+  per-stream server ratios) is precomputed once per (stream, user) pair
+  at construction, aligned with the stream-major CSR arrays, and the
+  Line-4 drop walk is one vectorized :func:`_drop_walk` shared by
+  :meth:`OnlineAllocator.offer_indexed` and
+  :meth:`OnlineAllocator.offer_batch`.
 """
 
 from __future__ import annotations
@@ -94,6 +101,34 @@ def small_streams_condition(instance: MMDInstance, mu: "float | None" = None) ->
     return small_streams_indexed(index_instance(instance), mu)
 
 
+def _drop_walk(server_charge, sorted_cw: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Line 4's drop walk for a group of offers; returns the users kept.
+
+    ``sorted_cw`` has shape ``(2, rows, width)``: plane 0 holds user
+    charges, plane 1 utilities.  Row ``r`` holds one offer's
+    ``lengths[r]`` users in ascending (charge/utility, rank) order,
+    right-aligned behind zero padding.  The walk starts from the full
+    totals (server charge included) and drops the last user, one
+    subtraction at a time, while total charge exceeds total utility —
+    the paper's note after Alg. 2.  ``cumsum`` and
+    ``subtract.accumulate`` both run sequentially along a row (the
+    leading zeros add an exact ``+0.0``), so column ``s`` of the walk
+    is bit-for-bit the running total a scalar loop holds after ``s``
+    removals, and a NaN total stops the walk exactly as the scalar
+    ``>`` test would.
+    """
+    planes, nrows, width = sorted_cw.shape
+    walk = np.empty((planes, nrows, width + 1))
+    walk[:, :, 0] = np.cumsum(sorted_cw, axis=2)[:, :, -1]
+    walk[0, :, 0] += server_charge
+    walk[:, :, 1:] = sorted_cw[:, :, ::-1]  # column s drops entry length - s
+    with np.errstate(invalid="ignore", over="ignore"):
+        np.subtract.accumulate(walk, axis=2, out=walk)
+    stop = ~(walk[0] > walk[1])
+    stop[np.arange(nrows), lengths] = True  # every user dropped
+    return lengths - stop.argmax(axis=1)
+
+
 class OnlineAllocator:
     """Stateful online allocator (Algorithm 2).
 
@@ -145,18 +180,25 @@ class OnlineAllocator:
         self._server_measures: "list[int]" = [
             i for i, b in enumerate(instance.budgets) if not math.isinf(b)
         ]
-        self._server_scale: dict[int, float] = {}
+        # Scaled budgets B'_i = λ_i·B_i of the exponential costs.
+        self._server_scaled_budget: dict[int, float] = {}
         for i in self._server_measures:
             cost = idx.stream_costs[:, i]
             mask = np.isfinite(min_w) & (cost > 0)
             scale = float((min_w[mask] / (self.d * cost[mask])).min()) if mask.any() else math.inf
-            self._server_scale[i] = 1.0 if math.isinf(scale) else scale
+            scale = 1.0 if math.isinf(scale) else scale
+            self._server_scaled_budget[i] = scale * instance.budgets[i]
+        # Per-stream server data: which measures a stream is charged on
+        # (c_i(S) > 0) and its normalized cost c_i(S)/B_i, shape (|S|, m).
+        self._server_charged = idx.stream_costs > 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self._server_ratio = idx.stream_costs / idx.budgets
 
         # Per-(user, measure) scales over the user-major pair arrays;
         # entries for infinite-cap measures exist but are never charged.
         num_users, mc = idx.num_users, idx.mc
         self._finite_caps = np.isfinite(idx.capacities)  # (U, mc)
-        self._user_scale_arr = np.ones((num_users, mc))
+        user_scale = np.ones((num_users, mc))
         pair_min_w = min_w[idx.u_stream] if idx.nnz else np.empty(0)
         for j in range(mc):
             load = idx.u_loads[:, j]
@@ -166,7 +208,28 @@ class OnlineAllocator:
                 with np.errstate(over="ignore"):
                     ratios = pair_min_w[mask] / (self.d * load[mask])
                 np.minimum.at(scale, idx.u_pair_user[mask], ratios)
-                self._user_scale_arr[:, j] = np.where(np.isfinite(scale), scale, 1.0)
+                user_scale[:, j] = np.where(np.isfinite(scale), scale, 1.0)
+
+        # Per-pair static data, aligned with the stream-major ``s_*`` CSR
+        # arrays and laid out one row per capacity measure, shape
+        # (mc, nnz): a pair is *charged* on measure j when the user's cap
+        # is finite and the stream loads it; ``ratio`` is k^u_j(S)/K^u_j
+        # and ``scaled_cap`` the normalized cap λ_{u,j}·K^u_j.  These are
+        # the expressions the charge kernel, the commit, the hard guard
+        # and the release evaluate per pair, evaluated once here, so the
+        # floats are the same.
+        pair_cap = np.ascontiguousarray(idx.capacities[idx.s_user].T)
+        pair_load = np.ascontiguousarray(idx.s_loads.T)
+        self._pair_finite = np.isfinite(pair_cap)
+        self._pair_charged = self._pair_finite & (pair_load > 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self._pair_ratio = pair_load / pair_cap
+        # Zero on uncharged pairs, so the charge kernel never forms 0·inf.
+        self._pair_scaled_cap = np.where(
+            self._pair_charged, np.ascontiguousarray(user_scale[idx.s_user].T) * pair_cap, 0.0
+        )
+        #: Lexicographic user rank per pair — the drop order's tie-break.
+        self._pair_rank = idx.user_rank[idx.s_user]
 
         # Normalized loads L(i) ∈ [0, 1] per budget (scale-invariant).
         self._server_load_arr = np.zeros(idx.m)
@@ -182,17 +245,39 @@ class OnlineAllocator:
         self._exp_server = np.ones(idx.m)
         self._exp_user = np.ones((num_users, mc))
         self._ops_since_resync = 0
-        self.assignment = Assignment(instance)
-        self._offered: set[str] = set()
+        #: Active sessions: stream index -> its receivers' pair indices
+        #: into the stream-major CSR (never empty).  The single record of
+        #: what is committed; :attr:`assignment` and the snapshot's
+        #: ``offered`` list are derived from it.
         self._active_pairs: "dict[int, np.ndarray]" = {}
-        #: Deduplicated rejected stream ids, in first-rejection order
-        #: (bounded by the catalog size; re-offered rejections bump
-        #: :attr:`rejected_count` without growing this list, so
-        #: million-event simulation runs do not leak memory).
-        self.rejected: "list[str]" = []
+        # Rejected stream indices in first-rejection order (a dict is
+        # both the order and the membership test); bounded by the
+        # catalog size, so million-event runs do not leak memory.
+        self._rejected: "dict[int, None]" = {}
         #: Total rejections, re-offers included.
         self.rejected_count = 0
-        self._rejected_seen: set[str] = set()
+
+    @property
+    def rejected(self) -> "list[str]":
+        """Deduplicated rejected stream ids, in first-rejection order.
+
+        Re-offered rejections bump :attr:`rejected_count` without
+        growing this list.
+        """
+        return self._idx.stream_ids_of(self._rejected)
+
+    @property
+    def assignment(self) -> Assignment:
+        """The current assignment, built on access from the active sessions.
+
+        Costs O(active pairs) per access: a view for reports and tests,
+        not for hot loops (the allocator itself never reads it).
+        """
+        idx = self._idx
+        assignment = Assignment(self.instance)
+        for k, pairs in self._active_pairs.items():
+            assignment.assign_stream(idx.stream_ids[k], idx.user_ids_of(idx.s_user[pairs]))
+        return assignment
 
     # ------------------------------------------------------------------
     # Exponential costs
@@ -200,8 +285,7 @@ class OnlineAllocator:
 
     def _exp_cost_server(self, i: int) -> float:
         """``C(i) = B'_i (µ^{L(i)} - 1)`` for a server budget (normalized scale)."""
-        scaled_budget = self._server_scale[i] * self.instance.budgets[i]
-        return scaled_budget * (float(self._exp_server[i]) - 1.0)
+        return self._server_scaled_budget[i] * (float(self._exp_server[i]) - 1.0)
 
     def _server_charge(self, stream_id: str) -> float:
         """``Σ_{i∈M} (c_i(S)/B_i)·C(i)`` — the server part of the Line 4 test."""
@@ -210,12 +294,11 @@ class OnlineAllocator:
 
     def _server_charge_index(self, k: int) -> float:
         """Index form of :meth:`_server_charge` (same floats, no id lookup)."""
-        costs = self._idx.stream_costs[k]
+        charged, ratio = self._server_charged[k], self._server_ratio[k]
         total = 0.0
         for i in self._server_measures:
-            budget = self._idx.budgets[i]
-            if costs[i] > 0:
-                total += (costs[i] / budget) * self._exp_cost_server(i)
+            if charged[i]:
+                total += ratio[i] * self._exp_cost_server(i)
         return float(total)
 
     def _user_charge(self, user_id: str, stream_id: str) -> float:
@@ -234,29 +317,24 @@ class OnlineAllocator:
         pair = idx.s_indptr[k] + position[:1]
         return float(self._user_charges(row[position[:1]], pair)[0])
 
-    def _user_charges(self, row_users: np.ndarray, row_pairs: np.ndarray) -> np.ndarray:
+    def _user_charges(self, row_users: np.ndarray, row_pairs) -> np.ndarray:
         """``Σ_j (k^u_j(S)/K^u_j)·C(u,j)`` for every interested user at once.
 
-        Measures accumulate in ascending ``j`` — the same per-user order
-        (and hence the same floats) as charging one user at a time.  The
-        exponentials come from the :attr:`_exp_user` cache (maintained
-        exactly on commit/release), so an offer costs gathers and
-        arithmetic over the interested row but **no** ``mu ** load``
-        recompute — the floats are identical because each cache entry is
-        the same ``self.mu ** self._user_load_arr[u, j]`` expression
-        this method used to evaluate inline.
+        ``row_pairs`` indexes the per-pair arrays (an index array or a
+        slice of one stream's row).  Measures accumulate in ascending
+        ``j`` — the same per-user order (and hence the same floats) as
+        charging one user at a time; an uncharged pair adds an exact
+        ``0.0``.  The exponentials come from the :attr:`_exp_user` cache
+        (maintained exactly on commit/release) and every other operand
+        from the per-pair static arrays, so an offer costs one gather
+        and the arithmetic over the interested row.
         """
-        idx = self._idx
         charge = np.zeros(row_users.size)
-        for j in range(idx.mc):
-            cap = idx.capacities[row_users, j]
-            load = idx.s_loads[row_pairs, j]
-            mask = np.isfinite(cap) & (load > 0.0)
-            if mask.any():
-                users = row_users[mask]
-                scaled_cap = self._user_scale_arr[users, j] * cap[mask]
-                exp_cost = scaled_cap * (self._exp_user[users, j] - 1.0)
-                charge[mask] += (load[mask] / cap[mask]) * exp_cost
+        for j in range(self._idx.mc):
+            cost = self._exp_user[:, j][row_users] - 1.0
+            cost *= self._pair_scaled_cap[j, row_pairs]
+            cost *= self._pair_ratio[j, row_pairs]
+            charge += np.where(self._pair_charged[j, row_pairs], cost, 0.0)
         return charge
 
     def _recharge(self, selected_users: np.ndarray, j: int) -> None:
@@ -294,13 +372,17 @@ class OnlineAllocator:
     # Online interface
     # ------------------------------------------------------------------
 
-    def _reject(self, stream_id: str) -> None:
+    def _reject(self, k: int) -> None:
         """Record a rejection: the count always grows, the id list only
         on first rejection (so re-offers over a long trace stay O(1))."""
         self.rejected_count += 1
-        if stream_id not in self._rejected_seen:
-            self._rejected_seen.add(stream_id)
-            self.rejected.append(stream_id)
+        self._rejected.setdefault(k)
+
+    def _check_active(self, k: int) -> None:
+        """Loud double-offer guard: an accepted stream stays active until
+        released."""
+        if k in self._active_pairs:
+            raise ValidationError(f"stream {self._idx.stream_ids[k]!r} is already active")
 
     def offer(self, stream_id: str) -> "list[str]":
         """Offer a stream; returns the users it was assigned to (may be
@@ -332,68 +414,43 @@ class OnlineAllocator:
         delegates here)."""
         idx = self._idx
         k = self._check_stream_index(k)
-        stream_id = idx.stream_ids[k]
-        if stream_id in self._offered:
-            raise ValidationError(f"stream {stream_id!r} is already active")
+        self._check_active(k)
         empty = np.empty(0, dtype=np.int64)
         lo, hi = int(idx.s_indptr[k]), int(idx.s_indptr[k + 1])
         if lo == hi:
-            self._reject(stream_id)
+            self._reject(k)
             return empty
-        row_users = idx.s_user[lo:hi]
-        row_pairs = np.arange(lo, hi, dtype=np.int64)
-        row_w = idx.s_w[lo:hi]
-
-        server_charge = self._server_charge_index(k)
-        charges = self._user_charges(row_users, row_pairs)
+        row = slice(lo, hi)
+        row_users = idx.s_user[row]
+        row_w = idx.s_w[row]
+        charges = self._user_charges(row_users, row)
 
         # Maximal U_j: drop users in decreasing order of charge/utility
         # until the Line 4 condition holds (the paper's note after Alg. 2).
-        order = np.lexsort((idx.user_rank[row_users], charges / row_w))
-        sorted_charges = charges[order]
-        sorted_w = row_w[order]
-        # cumsum accumulates sequentially, so these totals are the exact
-        # floats of summing user-by-user in sorted order.
-        total_charge = server_charge + float(np.cumsum(sorted_charges)[-1])
-        total_utility = float(np.cumsum(sorted_w)[-1])
-        count = order.size
-        while count and total_charge > total_utility:
-            count -= 1  # largest charge/utility ratio last
-            total_charge -= float(sorted_charges[count])
-            total_utility -= float(sorted_w[count])
+        order = np.lexsort((self._pair_rank[row], charges / row_w))
+        sorted_cw = np.empty((2, 1, hi - lo))
+        sorted_cw[0, 0] = charges[order]
+        sorted_cw[1, 0] = row_w[order]
+        count = int(_drop_walk(
+            self._server_charge_index(k), sorted_cw, np.array([hi - lo])
+        )[0])
         if count == 0:
-            self._reject(stream_id)
+            self._reject(k)
             return empty
-        selected_users = row_users[order[:count]]
-        selected_pairs = row_pairs[order[:count]]
+        chosen = order[:count]
+        selected_users = row_users[chosen]
+        selected_pairs = lo + chosen
 
         if self.enforce_budgets:
             selected_users, selected_pairs = self._hard_guard(
                 k, selected_users, selected_pairs
             )
             if selected_users.size == 0:
-                self._reject(stream_id)
+                self._reject(k)
                 return empty
 
-        # Commit: server loads increase once, user loads per receiver;
-        # the charge caches refresh for exactly the budgets that moved.
-        self._offered.add(stream_id)
-        costs = idx.stream_costs[k]
-        for i in self._server_measures:
-            if costs[i] > 0:
-                self._server_load_arr[i] += costs[i] / idx.budgets[i]
-                self._exp_server[i] = self.mu ** float(self._server_load_arr[i])
-        for j in range(idx.mc):
-            cap = idx.capacities[selected_users, j]
-            load = idx.s_loads[selected_pairs, j]
-            mask = np.isfinite(cap) & (load > 0.0)
-            if mask.any():
-                touched = selected_users[mask]
-                self._user_load_arr[touched, j] += load[mask] / cap[mask]
-                self._recharge(touched, j)
-        self._charges_mutated()
+        self._move_load(k, selected_users, selected_pairs, np.add)
         self._active_pairs[k] = selected_pairs
-        self.assignment.assign_stream(stream_id, idx.user_ids_of(selected_users))
         return selected_users
 
     def offer_batch(self, ks: np.ndarray) -> "list[np.ndarray]":
@@ -404,14 +461,14 @@ class OnlineAllocator:
         charges only move on a commit, so every offer the sequential
         walk would *reject* sees unchanged state — this method
         vectorizes the rejection filter (batched charges, one
-        segment-major ``lexsort``, padded-row ``cumsum`` /
-        ``subtract.accumulate`` replaying each offer's drop loop in its
-        exact float order) and then delegates the first offer predicted
-        to select users to :meth:`offer_indexed`, which recomputes and
-        commits through the unchanged scalar path.  The answers are
-        therefore bit-identical to calling :meth:`offer_indexed` in
-        sequence; the prefix ends at the first potentially
-        state-changing answer (the caller re-offers the rest).
+        segment-major ``lexsort``, and the padded-row :func:`_drop_walk`
+        that :meth:`offer_indexed` runs on a single row) and then
+        delegates the first offer predicted to select users to
+        :meth:`offer_indexed`, which recomputes and commits.  The
+        answers are therefore bit-identical to calling
+        :meth:`offer_indexed` in sequence; the prefix ends at the first
+        potentially state-changing answer (the caller re-offers the
+        rest).
         """
         idx = self._idx
         empty = np.empty(0, dtype=np.int64)
@@ -435,65 +492,41 @@ class OnlineAllocator:
             charges = self._user_charges(row_users, row_pairs)
 
             # Per-offer server charge, measures accumulating in the
-            # scalar loop's ascending order (zero-cost terms contribute
-            # an exact 0.0 instead of being skipped — same float, and
-            # the `where` avoids 0·inf).
+            # scalar loop's ascending order (uncharged terms contribute
+            # an exact 0.0 instead of being skipped — same float).
             server_charge = np.zeros(nrows)
+            ks_nz = ks_arr[nz]
             for i in self._server_measures:
-                cost_col = idx.stream_costs[ks_arr[nz], i]
-                exp_cost = self._exp_cost_server(i)
                 server_charge += np.where(
-                    cost_col > 0, (cost_col / idx.budgets[i]) * exp_cost, 0.0
+                    self._server_charged[ks_nz, i],
+                    self._server_ratio[ks_nz, i] * self._exp_cost_server(i),
+                    0.0,
                 )
 
             with np.errstate(invalid="ignore"):
                 ratio = charges / row_w
-                # Segment-major stable lexsort == each offer's own
-                # (rank, charge/utility) lexsort, concatenated.
-                order = np.lexsort((idx.user_rank[row_users], ratio, seg))
-                sorted_charges = charges[order]
-                sorted_w = row_w[order]
-                offsets = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-                col = np.arange(seg.size, dtype=np.int64) - offsets[seg]
-                width = int(lengths.max())
-                mat_c = np.zeros((nrows, width))
-                mat_u = np.zeros((nrows, width))
-                mat_c[seg, col] = sorted_charges
-                mat_u[seg, col] = sorted_w
-                cum_c = np.cumsum(mat_c, axis=1)
-                cum_u = np.cumsum(mat_u, axis=1)
-                rows_idx = np.arange(nrows)
-                last = lengths - 1
-                # Drop walk: remove the largest charge/utility entries
-                # one subtraction at a time — column s of the accumulate
-                # is the scalar loop's running total after s removals.
-                drop_c = np.zeros((nrows, width + 1))
-                drop_u = np.zeros((nrows, width + 1))
-                drop_c[:, 0] = server_charge + cum_c[rows_idx, last]
-                drop_u[:, 0] = cum_u[rows_idx, last]
-                step_col = lengths[seg] - col
-                drop_c[seg, step_col] = sorted_charges
-                drop_u[seg, step_col] = sorted_w
-                tc = np.subtract.accumulate(drop_c, axis=1)
-                tu = np.subtract.accumulate(drop_u, axis=1)
-                # The scalar loop stops when the condition TC > TU turns
-                # false (NaN included) or everyone has been dropped.
-                stop = ~(tc > tu)
-            stop |= np.arange(width + 1)[None, :] >= lengths[:, None]
-            keep[nz] = lengths - stop.argmax(axis=1)
+            # Segment-major stable lexsort == each offer's own
+            # (rank, charge/utility) lexsort, concatenated.
+            order = np.lexsort((self._pair_rank[row_pairs], ratio, seg))
+            # Right-align each offer's sorted users in a zero-padded row.
+            ends = np.cumsum(lengths)
+            width = int(lengths.max())
+            col = np.arange(seg.size, dtype=np.int64) + (width - ends)[seg]
+            sorted_cw = np.zeros((2, nrows, width))
+            sorted_cw[0, seg, col] = charges[order]
+            sorted_cw[1, seg, col] = row_w[order]
+            keep[nz] = _drop_walk(server_charge, sorted_cw, lengths)
 
         answers: "list[np.ndarray]" = []
         for position in range(total):
             k = int(ks_arr[position])
-            stream_id = idx.stream_ids[k]
-            if stream_id in self._offered:
-                raise ValidationError(f"stream {stream_id!r} is already active")
+            self._check_active(k)
             if keep[position] == 0:
-                self._reject(stream_id)
+                self._reject(k)
                 answers.append(empty)
                 continue
             # First offer that selects users: recompute + commit through
-            # the scalar path (state untouched by the rejects above, so
+            # offer_indexed (state untouched by the rejects above, so
             # the floats are identical), then end the prefix — a commit
             # moves the charges every later decision depends on.
             answers.append(self.offer_indexed(k))
@@ -505,25 +538,42 @@ class OnlineAllocator:
     ):
         """Drop the stream (or individual users) if committing would exceed
         a budget.  Never fires under the small-streams precondition."""
-        idx = self._idx
         empty = np.empty(0, dtype=np.int64)
-        costs = idx.stream_costs[k]
+        ratio = self._server_ratio[k]
         for i in self._server_measures:
-            budget = idx.budgets[i]
-            if self._server_load_arr[i] + costs[i] / budget > 1.0 + FEASIBILITY_RTOL:
+            if self._server_load_arr[i] + ratio[i] > 1.0 + FEASIBILITY_RTOL:
                 return empty, empty
         fits = np.ones(selected_users.size, dtype=bool)
-        for j in range(idx.mc):
-            cap = idx.capacities[selected_users, j]
-            finite = np.isfinite(cap)
-            with np.errstate(invalid="ignore"):
-                over = (
-                    self._user_load_arr[selected_users, j]
-                    + idx.s_loads[selected_pairs, j] / cap
-                    > 1.0 + FEASIBILITY_RTOL
-                )
-            fits &= ~(finite & over)
+        for j in range(self._idx.mc):
+            over = (
+                self._user_load_arr[selected_users, j]
+                + self._pair_ratio[j, selected_pairs]
+                > 1.0 + FEASIBILITY_RTOL
+            )
+            fits &= ~(self._pair_finite[j, selected_pairs] & over)
         return selected_users[fits], selected_pairs[fits]
+
+    def _move_load(self, k: int, users: np.ndarray, pairs: np.ndarray, op) -> None:
+        """Commit (``op=np.add``) or release (``np.subtract``) a session.
+
+        Moves stream ``k``'s normalized load on its charged server
+        budgets once and on each receiver pair's charged capacities,
+        then refreshes the charge caches of exactly the budgets that
+        moved.
+        """
+        charged, ratio = self._server_charged[k], self._server_ratio[k]
+        for i in self._server_measures:
+            if charged[i]:
+                self._server_load_arr[i] = op(self._server_load_arr[i], ratio[i])
+                self._exp_server[i] = self.mu ** float(self._server_load_arr[i])
+        for j in range(self._idx.mc):
+            hit = self._pair_charged[j, pairs]
+            touched = users[hit]
+            self._user_load_arr[touched, j] = op(
+                self._user_load_arr[touched, j], self._pair_ratio[j, pairs[hit]]
+            )
+            self._recharge(touched, j)
+        self._charges_mutated()
 
     def release(self, stream_id: str) -> None:
         """Extension for finite-duration sessions: return a stream's load.
@@ -536,11 +586,6 @@ class OnlineAllocator:
         k = self._idx.stream_index.get(stream_id)
         if k is None:
             self.instance.stream(stream_id)  # canonical unknown-stream error
-        if stream_id not in self._offered:
-            raise ValidationError(
-                f"stream {stream_id!r} is not active "
-                "(never offered, rejected, or already released)"
-            )
         self.release_indexed(k)
 
     def release_indexed(self, k: int) -> None:
@@ -551,34 +596,14 @@ class OnlineAllocator:
         :class:`~repro.exceptions.ValidationError` — never a raw
         ``KeyError``/``IndexError``, and never a silent no-op.
         """
-        idx = self._idx
         k = self._check_stream_index(k)
-        stream_id = idx.stream_ids[k]
-        if stream_id not in self._offered:
+        pairs = self._active_pairs.pop(k, None)
+        if pairs is None:
             raise ValidationError(
-                f"stream {stream_id!r} is not active "
+                f"stream {self._idx.stream_ids[k]!r} is not active "
                 "(never offered, rejected, or already released)"
             )
-        pairs = self._active_pairs.pop(k, np.empty(0, dtype=np.int64))
-        if pairs.size:
-            costs = idx.stream_costs[k]
-            for i in self._server_measures:
-                if costs[i] > 0:
-                    self._server_load_arr[i] -= costs[i] / idx.budgets[i]
-                    self._exp_server[i] = self.mu ** float(self._server_load_arr[i])
-            users = idx.s_user[pairs]
-            for j in range(idx.mc):
-                cap = idx.capacities[users, j]
-                load = idx.s_loads[pairs, j]
-                mask = np.isfinite(cap) & (load > 0.0)
-                if mask.any():
-                    touched = users[mask]
-                    self._user_load_arr[touched, j] -= load[mask] / cap[mask]
-                    self._recharge(touched, j)
-            self._charges_mutated()
-            for uid in idx.user_ids_of(users):
-                self.assignment.discard(uid, stream_id)
-        self._offered.discard(stream_id)
+        self._move_load(k, self._idx.s_user[pairs], pairs, np.subtract)
 
     # ------------------------------------------------------------------
     # State snapshot / restore (the serving layer's durability hooks)
@@ -592,9 +617,11 @@ class OnlineAllocator:
         normalized loads, the cached exponential charges (copied
         verbatim rather than recomputed, so restore cannot drift),
         active sessions with their receiver pairs, rejection
-        bookkeeping and the resync counter.  Static derived data
-        (scales, ``µ``, the index) is rebuilt from the instance at
-        construction and therefore not part of the state.
+        bookkeeping and the resync counter.  ``offered`` (the sorted
+        ids of the active streams) is derived from the sessions.
+        Static derived data (scales, ``µ``, the index, the per-pair
+        arrays) is rebuilt from the instance at construction and
+        therefore not part of the state.
         """
         return {
             "mu": self.mu,
@@ -603,12 +630,12 @@ class OnlineAllocator:
             "exp_server": self._exp_server.copy(),
             "exp_user": self._exp_user.copy(),
             "ops_since_resync": int(self._ops_since_resync),
-            "offered": sorted(self._offered),
+            "offered": sorted(self._idx.stream_ids_of(self._active_pairs)),
             "active_pairs": {
                 int(k): np.asarray(pairs, dtype=np.int64).copy()
                 for k, pairs in self._active_pairs.items()
             },
-            "rejected": list(self.rejected),
+            "rejected": self.rejected,
             "rejected_count": int(self.rejected_count),
         }
 
@@ -618,7 +645,11 @@ class OnlineAllocator:
         The allocator must wrap the same instance with the same ``mu``
         (checked loudly); afterwards every future decision — and
         :meth:`resync_charges`, still a bit-wise no-op — is identical
-        to the allocator the state was taken from.
+        to the allocator the state was taken from.  The state is
+        validated in full before anything is written: ``offered`` must
+        name exactly the streams of ``active_pairs``, and every active
+        stream must hold at least one receiver pair inside its own
+        interest row.
         """
         if float(state["mu"]) != self.mu:
             raise ValidationError(
@@ -626,6 +657,7 @@ class OnlineAllocator:
                 f"has mu={self.mu!r}; same instance and mu are required"
             )
         idx = self._idx
+        arrays = []
         for name, target in (
             ("server_load", self._server_load_arr),
             ("user_load", self._user_load_arr),
@@ -638,19 +670,22 @@ class OnlineAllocator:
                     f"state array {name!r} has shape {source.shape}, "
                     f"expected {target.shape}"
                 )
-            target[...] = source
-        self._ops_since_resync = int(state["ops_since_resync"])
+            arrays.append((target, source))
         offered = set(state["offered"])
-        for sid in offered:
+        rejected = list(state["rejected"])
+        for sid in sorted(offered) + rejected:
             if sid not in idx.stream_index:
                 raise ValidationError(f"state names unknown stream id {sid!r}")
-        self._offered = offered
-        self._active_pairs = {}
-        self.assignment = Assignment(self.instance)
+        active: "dict[int, np.ndarray]" = {}
         for k, pairs in sorted(state["active_pairs"].items()):
             k = self._check_stream_index(k)
+            sid = idx.stream_ids[k]
             arr = np.asarray(pairs, dtype=np.int64)
-            if arr.size and (
+            if arr.size == 0:
+                raise ValidationError(
+                    f"state lists stream {sid!r} as active with no receiver pairs"
+                )
+            if (
                 int(arr.min()) < int(idx.s_indptr[k])
                 or int(arr.max()) >= int(idx.s_indptr[k + 1])
             ):
@@ -658,12 +693,23 @@ class OnlineAllocator:
                     f"state pairs for stream index {k} fall outside its "
                     "interest row"
                 )
-            self._active_pairs[k] = arr
-            self.assignment.assign_stream(
-                idx.stream_ids[k], idx.user_ids_of(idx.s_user[arr])
-            )
-        self.rejected = list(state["rejected"])
-        self._rejected_seen = set(self.rejected)
+            if sid not in offered:
+                raise ValidationError(
+                    f"state has receiver pairs for stream {sid!r} but does "
+                    "not list it as offered"
+                )
+            active[k] = arr
+        for sid in sorted(offered):
+            if idx.stream_index[sid] not in active:
+                raise ValidationError(
+                    f"state lists stream {sid!r} as offered but has no "
+                    "receiver pairs for it"
+                )
+        for target, source in arrays:
+            target[...] = source
+        self._ops_since_resync = int(state["ops_since_resync"])
+        self._active_pairs = active
+        self._rejected = dict.fromkeys(idx.stream_index[sid] for sid in rejected)
         self.rejected_count = int(state["rejected_count"])
 
     def state_digest(self) -> str:

@@ -327,6 +327,66 @@ class TestReleaseHardening:
         assert np.array_equal(allocator._exp_user, state_users)
 
 
+class TestLoadStateConsistency:
+    """``offered`` and ``active_pairs`` must describe the same sessions.
+
+    A stream listed as offered without receiver pairs, or with an empty
+    pair array, would count as active while holding zero load, so a
+    later release would skip its load subtraction.  ``load_state``
+    refuses both, names the stream, and leaves the allocator untouched.
+    """
+
+    @staticmethod
+    def _state():
+        inst = small_streams_mmd(10, 4, seed=91)
+        allocator = OnlineAllocator(inst)
+        for sid in inst.stream_ids():
+            allocator.offer(sid)
+        state = allocator.state_dict()
+        assert state["active_pairs"]
+        return inst, allocator, state
+
+    def _assert_refused(self, inst, state, match):
+        fresh = OnlineAllocator(inst)
+        before = fresh.state_digest()
+        with pytest.raises(ValidationError, match=match):
+            fresh.load_state(state)
+        assert fresh.state_digest() == before
+
+    def test_offered_without_pairs_refused(self):
+        inst, allocator, state = self._state()
+        k = next(iter(state["active_pairs"]))
+        sid = inst.streams[k].stream_id
+        del state["active_pairs"][k]
+        self._assert_refused(inst, state, f"{sid!r} as offered but has no receiver pairs")
+
+    def test_empty_pair_array_refused(self):
+        import numpy as np
+
+        inst, allocator, state = self._state()
+        k = next(iter(state["active_pairs"]))
+        sid = inst.streams[k].stream_id
+        state["active_pairs"][k] = np.empty(0, dtype=np.int64)
+        self._assert_refused(inst, state, f"{sid!r} as active with no receiver pairs")
+
+    def test_pairs_for_unoffered_stream_refused(self):
+        inst, allocator, state = self._state()
+        k = next(iter(state["active_pairs"]))
+        sid = inst.streams[k].stream_id
+        state["offered"] = [s for s in state["offered"] if s != sid]
+        self._assert_refused(inst, state, f"{sid!r} but does not list it as offered")
+
+    def test_consistent_state_round_trips(self):
+        inst, allocator, state = self._state()
+        restored = OnlineAllocator(inst)
+        restored.load_state(state)
+        assert restored.state_digest() == allocator.state_digest()
+        sid = state["offered"][0]
+        restored.release(sid)
+        allocator.release(sid)
+        assert restored.state_digest() == allocator.state_digest()
+
+
 class TestChargeResyncConfig:
     """The drift-guard interval resolves arg > $REPRO_CHARGE_RESYNC >
     default, and junk fails loudly instead of disabling the guard."""

@@ -325,7 +325,7 @@ class TestAdmissionCore:
             assert response["admitted"] == bool(users)
             assert response["users"] == users
         admitted = [s.stream_id for s in instance.streams
-                    if s.stream_id in ref._offered]
+                    if s.stream_id in ref.state_dict()["offered"]]
         core.release(admitted[0])
         ref.release(admitted[0])
         assert core.state_digest() == ref.state_digest()
