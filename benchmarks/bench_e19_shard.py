@@ -1,7 +1,7 @@
-"""E19 — group-commit WAL batching and sharded admission workers.
+"""E19 — group-commit WAL batching for the single-writer admission service.
 
-Measures the two scaling stages this service grew on top of E18's
-one-fsync-per-decision baseline, directly against the commit pipeline
+Measures group commit on top of E18's one-fsync-per-decision baseline,
+directly against the commit pipeline
 (:meth:`~repro.serve.service.AdmissionCore.execute_batch` — the HTTP
 transport would only add per-request overhead that batching cannot
 amortize on a single core):
@@ -12,18 +12,9 @@ amortize on a single core):
   after the shared sync.  The batch-size scaling curve is reported, the
   fsync counts are asserted against the histogram, and the run fails if
   the best batched throughput is under **3×** the fsync'd baseline;
-- **sharded workers** — the same load partitioned by stream hash
-  across 4 :class:`~repro.serve.shard.ShardedAdmissionCore` workers,
-  each a thread owning its own core + WAL + snapshots, committing its
-  shard's subsequence in batches.  On a multi-core box the independent
-  fsync pipelines stack on top of group commit; on the single-core CI
-  container the phase still proves the partitioned layout loses nothing
-  (throughput is asserted ≥ the batched single-writer only when more
-  than one CPU is visible);
 - **restore fidelity** — the batched directory restores bit-identically
   (digest equality against the batch=1 run: same decision sequence,
-  same state), and the sharded directory barrier-snapshots and restores
-  to its own merged digest.
+  same state).
 
 Set ``REPRO_E19_SCALE=small`` for a CI smoke at ~8× fewer decisions
 (same assertions, including the 3× floor — fsync amortization does not
@@ -34,12 +25,10 @@ from __future__ import annotations
 
 import os
 import tempfile
-import threading
 from pathlib import Path
 
 from repro.instances.workloads import small_streams_workload
 from repro.serve.service import AdmissionCore, ServeConfig
-from repro.serve.shard import ShardedAdmissionCore
 from repro.util.timing import Timer
 
 from benchmarks.common import run_once, stage_json, stage_section
@@ -49,8 +38,6 @@ FULL_SCALE = os.environ.get("REPRO_E19_SCALE", "full") != "small"
 NUM_PAIRS = 4_000 if FULL_SCALE else 500
 #: Group-commit batch sizes swept (1 = the E18 baseline discipline).
 BATCH_SIZES = (1, 16, 64)
-#: Workers in the sharded phase.
-NUM_SHARDS = 4
 #: Catalog/population of the served workload.
 NUM_STREAMS, NUM_USERS = (64, 32) if FULL_SCALE else (32, 16)
 #: CI perf floor: best batched throughput over the batch=1 baseline.
@@ -107,41 +94,6 @@ def _batched_phase(
     return result
 
 
-def _sharded_phase(instance, root: Path, ops, batch: int) -> "dict[str, object]":
-    """The 4-shard run: one thread per shard, each batching its subsequence."""
-    config = ServeConfig(snapshot_every=SNAPSHOT_EVERY, commit_batch=batch)
-    core = ShardedAdmissionCore.create(
-        instance, root, shards=NUM_SHARDS, config=config
-    )
-    by_shard: "list[list]" = [[] for _ in range(NUM_SHARDS)]
-    for op in ops:
-        by_shard[core.route(op[1])].append(op)
-    threads = [
-        threading.Thread(target=_drive, args=(core.cores[s], by_shard[s], batch))
-        for s in range(NUM_SHARDS)
-    ]
-    timer = Timer()
-    with timer:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-    core.barrier_snapshot()
-    result = {
-        "shards": NUM_SHARDS,
-        "records": core.next_seq,
-        "shard_records": core.next_seqs(),
-        "elapsed": timer.elapsed,
-        "throughput": core.next_seq / max(timer.elapsed, 1e-9),
-        "digest": core.state_digest(),
-    }
-    core.close()
-    restored = ShardedAdmissionCore.restore(root)
-    result["restore_digest_ok"] = restored.state_digest() == result["digest"]
-    restored.close()
-    return result
-
-
 def bench_e19_shard(benchmark):
     def experiment():
         instance = small_streams_workload(
@@ -159,10 +111,7 @@ def bench_e19_shard(benchmark):
             restored = AdmissionCore.restore(tmp / f"b{BATCH_SIZES[-1]:03d}")
             batched_restore_ok = restored.state_digest() == curve[-1]["digest"]
             restored.close()
-            sharded = _sharded_phase(instance, tmp / "shards", ops, BATCH_SIZES[-1])
-        return {"curve": curve, "sharded": sharded,
-                "batched_restore_ok": batched_restore_ok,
-                "cpus": os.cpu_count() or 1}
+        return {"curve": curve, "batched_restore_ok": batched_restore_ok}
 
     data = run_once(benchmark, experiment)
     curve = data["curve"]
@@ -175,9 +124,6 @@ def bench_e19_shard(benchmark):
     )
     assert all(r["records"] == baseline["records"] for r in curve)
     assert data["batched_restore_ok"], "batched directory restored differently"
-    assert data["sharded"]["restore_digest_ok"], (
-        "sharded barrier restore diverged from the live merged digest"
-    )
     # One fsync per decision at batch=1; one per batch afterwards.
     assert baseline["fsyncs"] == baseline["records"]
     for r in curve[1:]:
@@ -194,12 +140,6 @@ def bench_e19_shard(benchmark):
         f"({best['throughput']:,.0f}/s vs {baseline['throughput']:,.0f}/s); "
         f"the floor is {MIN_BATCH_SPEEDUP}x"
     )
-    if data["cpus"] > 1:
-        assert data["sharded"]["throughput"] >= best["throughput"], (
-            f"{NUM_SHARDS} shards ({data['sharded']['throughput']:,.0f}/s) "
-            f"fell below the single-writer batched rate "
-            f"({best['throughput']:,.0f}/s) despite {data['cpus']} CPUs"
-        )
 
     rows = [
         [f"batch={r['batch']}", f"{r['records']:,}", f"{r['fsyncs']:,}",
@@ -207,37 +147,23 @@ def bench_e19_shard(benchmark):
          f"{r['throughput'] / baseline['throughput']:.2f}x"]
         for r in curve
     ]
-    rows.append([
-        f"{NUM_SHARDS} shards (batch={BATCH_SIZES[-1]})",
-        f"{data['sharded']['records']:,}",
-        "-",
-        f"{data['sharded']['throughput']:,.0f}/s",
-        f"{data['sharded']['throughput'] / baseline['throughput']:.2f}x",
-    ])
     stage_section(
         "E19",
-        f"Group commit + sharding: {baseline['records']:,} fsync'd "
-        f"decisions, batch curve {list(BATCH_SIZES)} and "
-        f"{NUM_SHARDS}-shard fan-out",
+        f"Group commit: {baseline['records']:,} fsync'd decisions, "
+        f"batch curve {list(BATCH_SIZES)}",
         "The E18 service commits one WAL fsync per decision; E19 drains "
         "batches through one contiguous write + one shared fsync "
-        "(acknowledgements strictly after the sync), then partitions "
-        "the allocator by stream hash across shard workers that each "
-        "own a core + WAL + snapshots behind a routing front door with "
-        "cross-shard barrier snapshots.  Digests are asserted "
-        "bit-identical across every batch size and across restore.",
+        "(acknowledgements strictly after the sync).  Digests are "
+        "asserted bit-identical across every batch size and across "
+        "restore.",
         ["configuration", "records", "fsyncs", "throughput",
          "vs batch=1"],
         rows,
         notes=f"Perf floor (CI-gated): best batched throughput >= "
         f"{MIN_BATCH_SPEEDUP}x the batch=1 baseline — measured "
         f"{speedup:.2f}x at batch={best['batch']} on this run.  The "
-        f"sharded row ran on {data['cpus']} visible CPU(s); with one "
-        "core the independent fsync pipelines serialize, so the "
-        "shards>=batched assertion is gated on cpu_count()>1.  The "
         "chaos suite (tests/test_serve_chaos.py) covers kill-mid-batch "
-        "prefix durability and sharded digest equality vs unsharded "
-        "replay.",
+        "prefix durability.",
     )
     stage_json(
         "E19",
@@ -250,9 +176,5 @@ def bench_e19_shard(benchmark):
             ],
             "best_batch": best["batch"],
             "batched_speedup": speedup,
-            "sharded": {k: data["sharded"][k] for k in
-                        ("shards", "records", "shard_records", "elapsed",
-                         "throughput", "restore_digest_ok")},
-            "cpus": data["cpus"],
         },
     )

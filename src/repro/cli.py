@@ -762,12 +762,9 @@ def cmd_serve_run(args: argparse.Namespace) -> int:
         resolve_commit_batch,
         resolve_commit_linger_ms,
         resolve_durability,
-        resolve_serve_shards,
     )
     from repro.serve.http import AdmissionHTTPService
     from repro.serve.service import MANIFEST_NAME, AdmissionCore, ServeConfig
-    from repro.serve.shard import ShardedAdmissionCore, open_service
-    from repro.serve.snapshot import SHARD_MANIFEST_NAME
 
     root = Path(args.dir)
     # Arg > env > default resolution happens here (the dataclass's own
@@ -781,28 +778,14 @@ def cmd_serve_run(args: argparse.Namespace) -> int:
         commit_batch=resolve_commit_batch(args.commit_batch),
         commit_linger_ms=resolve_commit_linger_ms(args.commit_linger_ms),
     )
-    shards = resolve_serve_shards(args.shards)
-    if (root / SHARD_MANIFEST_NAME).exists() or (root / MANIFEST_NAME).exists():
-        core = open_service(root, config=config)
-        actual = getattr(core, "shard_count", 1)
-        if args.shards is not None and actual != shards:
-            core.close()
-            raise ValidationError(
-                f"{str(root)!r} holds a {actual}-shard service but --shards "
-                f"asked for {shards}; the shard count is fixed at creation"
-            )
+    if (root / MANIFEST_NAME).exists():
+        core = AdmissionCore.restore(root, config=config)
     else:
         instance = (
             _load_instance(args.instance) if args.instance
             else _workload_instance(args)
         )
-        if shards > 1:
-            core = ShardedAdmissionCore.create(
-                instance, root, shards=shards, mu=args.mu, config=config
-            )
-        else:
-            core = AdmissionCore.create(instance, root, mu=args.mu, config=config)
-    shard_count = getattr(core, "shard_count", 1)
+        core = AdmissionCore.create(instance, root, mu=args.mu, config=config)
     server = AdmissionHTTPService(core)
 
     async def run() -> None:
@@ -814,9 +797,7 @@ def cmd_serve_run(args: argparse.Namespace) -> int:
             "port": port,
             "pid": os.getpid(),
             "seq": core.next_seq,
-            "shards": shard_count,
-            "shard_seqs": queue["shard_seqs"],
-            "queue_depths": queue["queue_depths"],
+            "queue_depth": queue["queue_depth"],
             "durability": config.durability,
             "commit_batch": config.commit_batch,
             "commit_linger_ms": config.commit_linger_ms,
@@ -840,9 +821,7 @@ def cmd_serve_run(args: argparse.Namespace) -> int:
     print(json.dumps({
         "serving": False,
         "seq": core.next_seq,
-        "shards": shard_count,
-        "shard_seqs": queue["shard_seqs"],
-        "queue_depths": queue["queue_depths"],
+        "queue_depth": queue["queue_depth"],
         "served": queue["served"],
         "shed": queue["shed"],
         "batch_sizes": server.batch_histogram(),
@@ -859,28 +838,18 @@ def cmd_serve_restore(args: argparse.Namespace) -> int:
     the HTTP server.  Corruption beyond a torn tail fails loudly
     (exit 2) instead of serving a silently wrong allocator.
     """
-    from repro.serve.shard import ShardedAdmissionCore, open_service
+    from repro.serve.service import AdmissionCore
 
-    core = open_service(args.dir)
+    core = AdmissionCore.restore(args.dir)
     try:
         info = core.restore_info
         stats = core.stats()
         table = Table(["field", "value"], title=f"restored {args.dir}")
-        if isinstance(core, ShardedAdmissionCore):
-            table.add_row(["shards", core.shard_count])
-            table.add_row(["wal records (total)", core.next_seq])
-            table.add_row(["per-shard records", core.next_seqs()])
-            table.add_row(["barrier seqs", info["barrier_seqs"] or "(none)"])
-            table.add_row(["tail replayed",
-                           sum(s["replayed"] for s in info["per_shard"])])
-            table.add_row(["torn bytes repaired",
-                           sum(s["repaired_bytes"] for s in info["per_shard"])])
-        else:
-            table.add_row(["wal records", core.next_seq])
-            table.add_row(["snapshot", info["snapshot"] or "(none)"])
-            table.add_row(["snapshot seq", info["snapshot_seq"]])
-            table.add_row(["tail replayed", info["replayed"]])
-            table.add_row(["torn bytes repaired", info["repaired_bytes"]])
+        table.add_row(["wal records", core.next_seq])
+        table.add_row(["snapshot", info["snapshot"] or "(none)"])
+        table.add_row(["snapshot seq", info["snapshot_seq"]])
+        table.add_row(["tail replayed", info["replayed"]])
+        table.add_row(["torn bytes repaired", info["repaired_bytes"]])
         table.add_row(["active streams", stats["active_streams"]])
         table.add_row(["rejected count", stats["rejected_count"]])
         table.add_row(["state digest", core.state_digest()])
@@ -1184,10 +1153,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_run.add_argument("--commit-linger-ms", type=float, default=None,
                            help="ms a shallow commit queue waits for company "
                            "(default: $REPRO_COMMIT_LINGER_MS, then 0)")
-    serve_run.add_argument("--shards", type=int, default=None,
-                           help="admission workers to partition streams "
-                           "across (fresh directories only; default: "
-                           "$REPRO_SERVE_SHARDS, then 1)")
     serve_run.add_argument("--max-pending", type=int, default=64,
                            help="admission-queue depth before load shedding")
     serve_run.add_argument("--max-wait", type=float, default=0.5,

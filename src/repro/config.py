@@ -11,12 +11,10 @@ generation  instance draw path       ``$REPRO_GEN_ENGINE`` vectorized
 simulation  trace draw and replay    ``$REPRO_SIM_ENGINE`` indexed
 ==========  =======================  ====================  ==========
 
-The solver seam has four engines: ``dict`` (the original string-keyed
+The solver seam has three engines: ``dict`` (the original string-keyed
 implementations), ``indexed`` (vectorized single-pick kernels, the
-default), ``batched`` (:mod:`repro.core.batched`, multi-pick greedy
-rounds) and ``numba`` (optional JIT of the single-pick loop; requires
-the ``numba`` extra and raises a clear error without it).  All four
-produce bit-identical traces.
+default) and ``batched`` (:mod:`repro.core.batched`, multi-pick greedy
+rounds).  All three produce bit-identical traces.
 
 The simulation seam has four engines: ``dict`` (the original
 string-keyed event loop), ``indexed`` (array-native per-event replay,
@@ -78,7 +76,7 @@ ENGINE_SETTINGS: "dict[str, EngineSetting]" = {
         label="engine",
         env="REPRO_ENGINE",
         default="indexed",
-        choices=("indexed", "dict", "batched", "numba"),
+        choices=("indexed", "dict", "batched"),
     ),
     "generation": EngineSetting(
         kind="generation",
@@ -216,9 +214,6 @@ COMMIT_BATCH_ENV = "REPRO_COMMIT_BATCH"
 #: shallow queue waits for company before committing).
 COMMIT_LINGER_ENV = "REPRO_COMMIT_LINGER_MS"
 
-#: Environment variable naming the admission-service shard count.
-SERVE_SHARDS_ENV = "REPRO_SERVE_SHARDS"
-
 #: Hard ceiling on the group-commit batch size: large enough that the
 #: fsync share per decision vanishes, small enough that a torn batch
 #: stays a bounded repair.
@@ -290,29 +285,6 @@ def resolve_commit_linger_ms(value: "float | None" = None) -> float:
             f"commit linger must be finite milliseconds in [0, 1000], got {linger}"
         )
     return linger
-
-
-def resolve_serve_shards(value: "int | None" = None) -> int:
-    """Resolve the admission-service shard count (worker partitions).
-
-    Precedence: explicit ``value`` > ``$REPRO_SERVE_SHARDS`` > 1 (the
-    unsharded single-writer service).  Must be an integer in
-    ``[1, 256]``; junk is loud.
-    """
-    raw: "int | str | None" = value
-    if raw is None:
-        raw = os.environ.get(SERVE_SHARDS_ENV)
-        if raw is None:
-            return 1
-    try:
-        shards = int(raw)
-    except (TypeError, ValueError):
-        raise ValidationError(
-            f"bad shard count {raw!r}; need a positive integer"
-        ) from None
-    if not 1 <= shards <= 256:
-        raise ValidationError(f"shard count must be in [1, 256], got {shards}")
-    return shards
 
 
 #: Sweep execution transports (how `repro sweep` fans units out):

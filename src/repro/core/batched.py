@@ -56,17 +56,7 @@ where the sequential kernel would: effectiveness is nonpositive iff the
 residual is, so every remaining candidate — selected or not — is also
 exhausted.
 
-``engine="numba"`` (optional)
------------------------------
-
-:func:`greedy_kernel_numba` JIT-compiles the *single-pick* inner loop
-instead — same pick sequence, same scalar float operations in the same
-order — for environments with the ``numba`` extra installed
-(``pip install repro-mmd[numba]``).  The import is guarded so numba
-stays strictly optional; selecting ``engine="numba"`` without it raises
-a :class:`~repro.exceptions.ValidationError` naming the extra.
-
-Both engines are selected through the usual switches
+The engine is selected through the usual switches
 (``greedy(inst, engine="batched")``, ``$REPRO_ENGINE=batched``,
 ``--engine batched`` on the CLI); ``tests/test_indexed_parity.py`` and
 ``tests/test_batched.py`` assert bit-identical traces against the dict
@@ -83,14 +73,6 @@ import numpy as np
 from repro.core.indexed import IndexedInstance, _concat_ranges
 from repro.core.instance import FEASIBILITY_RTOL
 from repro.exceptions import ValidationError
-
-try:  # pragma: no cover - exercised only with the numba extra installed
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover
-    njit = None
-    HAS_NUMBA = False
 
 #: First-round multi-pick width; later rounds adapt between
 #: :data:`MIN_ROUND` and :data:`MAX_ROUND` (grow ×2 after a
@@ -402,187 +384,3 @@ def greedy_kernel_batched(
         else:
             round_size = max(MIN_ROUND, min(round_size, 2 * max(consumed, 1)))
     return order, rejected, total_cost
-
-
-# ----------------------------------------------------------------------
-# Optional numba JIT of the single-pick inner loop (engine="numba")
-# ----------------------------------------------------------------------
-
-
-def _single_pick_loop(
-    s_indptr,
-    s_user,
-    s_w,
-    u_indptr,
-    u_stream,
-    u_w,
-    stream_rank,
-    costs0,
-    headroom,
-    wbar,
-    initial,
-    cap,
-    rtol,
-):  # pragma: no cover - compiled and run only with numba installed
-    """Single-pick Greedy as one scalar loop (the numba kernel body).
-
-    Plain-Python semantics identical to
-    :func:`repro.core.indexed.greedy_kernel`: every float op happens in
-    the same order the vectorized kernel's sequential primitives
-    (``np.add.at``, ``cumsum``) apply them, so the JIT-compiled run is
-    bit-identical too.  Returns flat result arrays (orders, receiver
-    CSR, rejections) plus an error flag for the initial-budget check.
-    """
-    num_streams = costs0.shape[0]
-    candidates = np.ones(num_streams, np.bool_)
-    order_streams = np.empty(num_streams, np.int64)
-    rec_indptr = np.zeros(num_streams + 1, np.int64)
-    rec_flat = np.empty(s_user.shape[0], np.int64)
-    rejected = np.empty(num_streams, np.int64)
-    picked = 0
-    num_rejected = 0
-    rec_n = 0
-    total_cost = 0.0
-    budget_limit = cap * (1.0 + rtol)
-
-    for idx_i in range(initial.shape[0]):
-        k = initial[idx_i]
-        rec_n = _scalar_assign(
-            k, s_indptr, s_user, s_w, u_indptr, u_stream, u_w,
-            headroom, wbar, rec_flat, rec_n,
-        )
-        order_streams[picked] = k
-        picked += 1
-        rec_indptr[picked] = rec_n
-        total_cost += costs0[k]
-        candidates[k] = False
-    if total_cost > budget_limit:
-        return order_streams, rec_indptr, rec_flat, rejected, 0, 0, 0, total_cost, 1
-
-    while True:
-        best_k = -1
-        best_eff = -math.inf
-        best_wbar = -math.inf
-        best_rank = num_streams + 1
-        for k in range(num_streams):
-            if not candidates[k]:
-                continue
-            wv = wbar[k]
-            c = costs0[k]
-            if c > 0.0:
-                eff = wv / c
-            elif wv > 0.0:
-                eff = math.inf
-            else:
-                eff = 0.0
-            if eff > best_eff or (
-                eff == best_eff
-                and (
-                    wv > best_wbar
-                    or (wv == best_wbar and stream_rank[k] < best_rank)
-                )
-            ):
-                best_k = k
-                best_eff = eff
-                best_wbar = wv
-                best_rank = stream_rank[k]
-        if best_k < 0 or wbar[best_k] <= 0.0:
-            break
-        cost = costs0[best_k]
-        if total_cost + cost <= budget_limit:
-            rec_n = _scalar_assign(
-                best_k, s_indptr, s_user, s_w, u_indptr, u_stream, u_w,
-                headroom, wbar, rec_flat, rec_n,
-            )
-            order_streams[picked] = best_k
-            picked += 1
-            rec_indptr[picked] = rec_n
-            total_cost += cost
-        else:
-            rejected[num_rejected] = best_k
-            num_rejected += 1
-        candidates[best_k] = False
-    return (
-        order_streams, rec_indptr, rec_flat, rejected,
-        picked, num_rejected, rec_n, total_cost, 0,
-    )
-
-
-def _scalar_assign(
-    k, s_indptr, s_user, s_w, u_indptr, u_stream, u_w, headroom, wbar,
-    rec_flat, rec_n,
-):  # pragma: no cover - compiled and run only with numba installed
-    """Scalar twin of the vectorized kernel's ``assign`` (same op order)."""
-    for p in range(s_indptr[k], s_indptr[k + 1]):
-        u = s_user[p]
-        old_r = headroom[u]
-        if old_r <= 0.0:
-            continue
-        new_r = old_r - s_w[p]
-        headroom[u] = new_r
-        rec_flat[rec_n] = u
-        rec_n += 1
-        new_clip = new_r if new_r > 0.0 else 0.0
-        if new_clip != old_r:
-            for q in range(u_indptr[u], u_indptr[u + 1]):
-                w2 = u_w[q]
-                low_new = w2 if w2 < new_clip else new_clip
-                low_old = w2 if w2 < old_r else old_r
-                wbar[u_stream[q]] += low_new - low_old
-    return rec_n
-
-
-if HAS_NUMBA:  # pragma: no cover - exercised in the CI numba matrix leg
-    _scalar_assign = njit(cache=True)(_scalar_assign)
-    _single_pick_loop = njit(cache=True)(_single_pick_loop)
-
-
-def greedy_kernel_numba(
-    idx: IndexedInstance,
-    cap: float,
-    initial: "list[int]",
-    rtol: float = FEASIBILITY_RTOL,
-) -> "tuple[list[tuple[int, np.ndarray]], list[int], float]":
-    """JIT-compiled single-pick Greedy (``engine="numba"``).
-
-    Same contract and bit-identical result as
-    :func:`repro.core.indexed.greedy_kernel`.  Requires the optional
-    ``numba`` extra; without it this raises a
-    :class:`~repro.exceptions.ValidationError` so the engine stays
-    selectable-but-guarded rather than a hard import failure.
-    """
-    if not HAS_NUMBA:
-        raise ValidationError(
-            'engine "numba" requires the optional numba dependency; '
-            'install the extra (pip install "repro-mmd[numba]") or pick '
-            'one of ("indexed", "dict", "batched")'
-        )
-    num_streams = idx.num_streams
-    costs0 = (
-        np.ascontiguousarray(idx.stream_costs[:, 0])
-        if idx.m
-        else np.zeros(num_streams)
-    )
-    headroom = idx.utility_caps.copy()
-    wbar = np.zeros(num_streams)
-    np.add.at(
-        wbar,
-        idx.s_pair_stream,
-        np.minimum(idx.s_w, np.maximum(headroom[idx.s_user], 0.0)),
-    )
-    (
-        order_streams, rec_indptr, rec_flat, rejected_arr,
-        picked, num_rejected, _rec_n, total_cost, error,
-    ) = _single_pick_loop(
-        idx.s_indptr, idx.s_user, idx.s_w,
-        idx.u_indptr, idx.u_stream, idx.u_w,
-        idx.stream_rank, costs0, headroom, wbar,
-        np.asarray(initial, dtype=np.int64), float(cap), float(rtol),
-    )
-    if error:
-        raise ValidationError("initial streams already exceed the budget")
-    order = [
-        (int(order_streams[i]), rec_flat[rec_indptr[i]:rec_indptr[i + 1]])
-        for i in range(picked)
-    ]
-    return order, [int(k) for k in rejected_arr[:num_rejected]], float(total_cost)

@@ -188,10 +188,8 @@ def greedy(
     engine:
         ``"indexed"`` (default) runs the vectorized single-pick kernel
         of :mod:`repro.core.indexed`; ``"batched"`` runs the multi-pick
-        round kernel of :mod:`repro.core.batched`; ``"numba"`` runs the
-        JIT-compiled single-pick loop (requires the optional ``numba``
-        extra); ``"dict"`` runs the original string-keyed
-        implementation.  All engines produce bit-identical traces; the
+        round kernel of :mod:`repro.core.batched`; ``"dict"`` runs the
+        original string-keyed implementation.  All engines produce bit-identical traces; the
         default may be overridden with ``$REPRO_ENGINE``.
 
     Returns a :class:`GreedyTrace` whose assignment is semi-feasible:
@@ -244,7 +242,7 @@ def _greedy_indexed(
     """Vectorized Greedy: lower once, run a CSR kernel, lift the trace.
 
     All array-native engines share this lowering; ``engine`` picks the
-    kernel (single-pick, multi-pick batched, or JIT-compiled).
+    kernel (single-pick or multi-pick batched).
     """
     cap = instance.budgets[0] if budget is None else budget
     idx = index_instance(instance)
@@ -259,10 +257,6 @@ def _greedy_indexed(
         from repro.core.batched import greedy_kernel_batched
 
         kernel = greedy_kernel_batched
-    elif engine == "numba":
-        from repro.core.batched import greedy_kernel_numba
-
-        kernel = greedy_kernel_numba
     else:
         kernel = greedy_kernel
     order, rejected, total_cost = kernel(idx, cap, initial)

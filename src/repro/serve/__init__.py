@@ -19,13 +19,10 @@ Layers (one module each):
 - :mod:`repro.serve.faults` — the deterministic, seedable
   fault-injection harness (latency, torn writes, fsync failures,
   simulated crashes and power loss, dropped/duplicated requests);
-- :mod:`repro.serve.shard` — stream-hash sharding: N admission workers
-  (each a full core + WAL + snapshots) behind one router, with
-  cross-shard **barrier snapshots** under a single root manifest;
-- :mod:`repro.serve.http` — the asyncio HTTP/1.1 front door with
-  per-shard single-writer workers, **group-commit** WAL batching (one
-  fsync per batch, acknowledgements strictly after the shared sync), a
-  bounded admission queue and explicit load shedding;
+- :mod:`repro.serve.http` — the asyncio HTTP/1.1 front door with one
+  single-writer thread, **group-commit** WAL batching (one fsync per
+  batch, acknowledgements strictly after the shared sync), a bounded
+  admission queue and explicit load shedding;
 - :mod:`repro.serve.client` — a retrying client (timeouts, capped
   exponential backoff with jitter, idempotency-key reuse);
 - :mod:`repro.serve.replay` — the trace driver used by the chaos suite
@@ -48,25 +45,15 @@ from repro.serve.faults import (
     InjectedFsyncError,
 )
 from repro.serve.service import AdmissionCore, ServeConfig, ServeFailure
-from repro.serve.shard import (
-    ShardedAdmissionCore,
-    merged_digest,
-    open_service,
-    route_stream_id,
-)
 from repro.serve.wal import DecisionWal, read_wal, repair_wal
 
 __all__ = [
     "AdmissionCore",
-    "ShardedAdmissionCore",
     "ServeConfig",
     "ServeFailure",
     "DecisionWal",
     "read_wal",
     "repair_wal",
-    "route_stream_id",
-    "merged_digest",
-    "open_service",
     "FaultPlan",
     "InjectedFault",
     "InjectedCrash",

@@ -108,41 +108,6 @@ class FaultPlan:
         points = rng.sample(range(int(ops)), count)
         return cls(crash_at=tuple(points), crash_mode=crash_mode, seed=int(seed))
 
-    @classmethod
-    def shard_plans(
-        cls,
-        seed: int,
-        *,
-        shards: int,
-        ops: int,
-        crashed_shards: int = 1,
-        crash_mode: str = "kill",
-    ) -> "dict[int, FaultPlan]":
-        """Deterministic crash schedules over a multi-shard layout.
-
-        Picks ``crashed_shards`` distinct shards and gives each its own
-        :meth:`random_crashes` plan (one crash point uniform in
-        ``[0, ops)`` of *that shard's* WAL-op counter) with a seed
-        derived from ``(seed, shard)`` — so the whole multi-shard
-        schedule reproduces from one integer.  Shards absent from the
-        returned dict run fault-free.
-        """
-        if int(shards) < 1:
-            raise ValidationError(f"shard count must be >= 1, got {shards}")
-        count = min(int(crashed_shards), int(shards))
-        if count < 1:
-            raise ValidationError(
-                f"need at least 1 crashed shard, got {crashed_shards}"
-            )
-        rng = random.Random(int(seed))
-        picked = rng.sample(range(int(shards)), count)
-        return {
-            shard: cls.random_crashes(
-                rng.randrange(2**31), ops=ops, crash_mode=crash_mode
-            )
-            for shard in sorted(picked)
-        }
-
     def torn_cut(self, length: int) -> int:
         """Adversarial cut offset for a torn write of ``length`` bytes."""
         if length <= 0:

@@ -5,20 +5,18 @@ container deliberately has no third-party HTTP stack).  Endpoints:
 
 - ``GET /health`` — liveness + failed-state flag, served instantly
   from the event loop;
-- ``GET /stats`` — the core's operational summary plus queue counters,
-  the group-commit batch-size histogram and per-shard decision counts;
+- ``GET /stats`` — the core's operational summary plus queue counters
+  and the group-commit batch-size histogram;
 - ``POST /offer`` / ``POST /release`` — state-changing decisions, body
   ``{"stream": <id or index>, "key": <idempotency key>}``.
 
-**Single-writer-per-shard discipline:** every state-changing request is
-routed to the worker that owns its stream (one worker for an unsharded
-:class:`~repro.serve.service.AdmissionCore`; the CRC32 stream router of
-:class:`~repro.serve.shard.ShardedAdmissionCore` otherwise), and each
-worker funnels its requests through one thread — the allocator and WAL
-of a shard only ever see one writer while the event loop stays free to
-answer health checks and to *shed* load.
+**Single-writer discipline:** every state-changing request is funneled
+through one writer thread — the allocator and WAL of the
+:class:`~repro.serve.service.AdmissionCore` only ever see one writer
+while the event loop stays free to answer health checks and to *shed*
+load.
 
-**Group commit:** a worker's thread drains up to ``commit_batch``
+**Group commit:** the writer thread drains up to ``commit_batch``
 queued decisions per pass, executes them in order, and commits all
 their WAL records under **one** fsync
 (:meth:`~repro.serve.service.AdmissionCore.execute_batch`), resolving
@@ -110,7 +108,12 @@ async def _read_request(reader: asyncio.StreamReader):
             continue
         name, _, value = line.partition(":")
         headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
+    try:
+        length = int(headers.get("content-length", "0") or "0")
+    except ValueError:
+        raise ValidationError("malformed Content-Length header") from None
+    if length < 0:
+        raise ValidationError(f"negative Content-Length {length}")
     if length > MAX_BODY_BYTES:
         raise ValidationError("request body too large")
     body = await reader.readexactly(length) if length else b""
@@ -127,10 +130,10 @@ def _resolve_waiter(future: "asyncio.Future", outcome, error) -> None:
         future.set_result(outcome)
 
 
-class _ShardWorker:
-    """One shard's single-writer thread with a group-commit drain loop.
+class _Writer:
+    """The service's single-writer thread with a group-commit drain loop.
 
-    Requests enqueue from the event loop; the worker thread drains up
+    Requests enqueue from the event loop; the writer thread drains up
     to ``commit_batch`` of them per pass and commits the whole batch
     under one fsync.  Extra drain submissions against an already-empty
     queue are no-ops, so scheduling one drain per enqueue keeps the
@@ -154,7 +157,7 @@ class _ShardWorker:
         return future
 
     def depth(self) -> int:
-        """Decisions currently queued on this shard (snapshot)."""
+        """Decisions currently queued on the writer (snapshot)."""
         with self._lock:
             return len(self._queue)
 
@@ -189,22 +192,12 @@ class _ShardWorker:
 
 
 class AdmissionHTTPService:
-    """HTTP server over an admission backend (single-core or sharded).
+    """HTTP server over one :class:`~repro.serve.service.AdmissionCore`."""
 
-    ``core`` is either one :class:`~repro.serve.service.AdmissionCore`
-    (one worker, everything routes to it) or a
-    :class:`~repro.serve.shard.ShardedAdmissionCore` (one worker per
-    shard, requests routed by the stream hash).
-    """
-
-    def __init__(self, core) -> None:
+    def __init__(self, core: AdmissionCore) -> None:
         self.core = core
         self.config = core.config
-        shard_cores = getattr(core, "cores", None)
-        self._sharded = shard_cores is not None
-        self._workers = [
-            _ShardWorker(c) for c in (shard_cores if self._sharded else [core])
-        ]
+        self._writer = _Writer(core)
         self._server: "asyncio.base_events.Server | None" = None
         self.port: "int | None" = None
         self._pending = 0
@@ -230,7 +223,7 @@ class AdmissionHTTPService:
             await self._server.serve_forever()
 
     async def stop(self) -> None:
-        """Stop accepting, drain every writer, barrier-snapshot and close."""
+        """Stop accepting, drain the writer, snapshot and close."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -238,20 +231,14 @@ class AdmissionHTTPService:
         await loop.run_in_executor(None, self._final_flush)
 
     def _final_flush(self) -> None:
-        """Drain all writer threads, then snapshot and close (quiesced).
+        """Drain the writer thread, then snapshot and close (quiesced).
 
-        Shutting each worker's executor down waits out its queued
-        drains, so by the time the snapshot runs no writer is
-        mid-operation — exactly the quiescence the cross-shard barrier
-        requires.
+        Shutting the writer's executor down waits out its queued
+        drains, so by the time the snapshot runs no decision is
+        mid-operation.
         """
-        for worker in self._workers:
-            worker.executor.shutdown(wait=True)
-        if not self.core.failed:
-            if self._sharded:
-                self.core.barrier_snapshot()
-            else:
-                self.core.maybe_snapshot(force=True)
+        self._writer.executor.shutdown(wait=True)
+        self.core.maybe_snapshot(force=True)
         self.core.close()
 
     # ------------------------------------------------------------------
@@ -325,47 +312,27 @@ class AdmissionHTTPService:
         return 404, {"ok": False, "error": f"unknown path {path!r}"}, (), False
 
     async def _stats(self) -> "dict[str, object]":
-        """Collect backend stats through each shard's own writer thread.
+        """Collect the core's stats on the writer thread.
 
-        Running a shard's ``stats()`` on its writer serializes the read
-        against that shard's mutations without blocking other shards.
+        Running ``stats()`` on the writer serializes the read against
+        the core's mutations.
         """
         loop = asyncio.get_running_loop()
-        if not self._sharded:
-            return await loop.run_in_executor(
-                self._workers[0].executor, self.core.stats
-            )
-        from repro.serve.shard import merge_shard_stats
-
-        parts = []
-        for worker in self._workers:
-            parts.append(await loop.run_in_executor(
-                worker.executor, worker.core.stats
-            ))
-        merged = merge_shard_stats(parts)
-        merged["restore"] = dict(self.core.restore_info)
-        return merged
+        return await loop.run_in_executor(self._writer.executor, self.core.stats)
 
     def queue_stats(self) -> "dict[str, object]":
         """Admission-queue counters (merged into ``/stats``)."""
-        stats: "dict[str, object]" = {
+        return {
             "pending": self._pending,
             "shed": self._shed,
             "served": self._served,
             "mean_latency": self._mean_latency(),
-            "queue_depths": [w.depth() for w in self._workers],
-            "shard_seqs": [w.core.next_seq for w in self._workers],
+            "queue_depth": self._writer.depth(),
         }
-        return stats
 
     def batch_histogram(self) -> "dict[str, int]":
-        """Merged group-commit batch-size histogram across all workers."""
-        merged: "dict[str, int]" = {}
-        for worker in self._workers:
-            for size, count in worker.core.batch_sizes.items():
-                key = str(size)
-                merged[key] = merged.get(key, 0) + count
-        return {k: merged[k] for k in sorted(merged, key=int)}
+        """The writer's group-commit batch-size histogram."""
+        return {str(k): v for k, v in sorted(self.core.batch_sizes.items())}
 
     def _mean_latency(self) -> float:
         """Rolling mean decision latency (seconds; 0 before any sample)."""
@@ -386,7 +353,7 @@ class AdmissionHTTPService:
     async def _decide(
         self, op: str, body: bytes
     ) -> "tuple[int, dict[str, object], tuple, bool]":
-        """Queue one offer/release on its shard's single-writer worker."""
+        """Queue one offer/release on the single writer."""
         try:
             payload = json.loads(body.decode() or "{}")
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -408,15 +375,11 @@ class AdmissionHTTPService:
                 "shed": True,
                 "retry_after": retry_after,
             }, (("Retry-After", f"{retry_after:g}"),), False
-        try:
-            shard = self.core.route(stream) if self._sharded else 0
-        except ValidationError as exc:
-            return 400, {"ok": False, "error": str(exc)}, (), False
         loop = asyncio.get_running_loop()
         self._pending += 1
         started = time.perf_counter()
         try:
-            response = await self._workers[shard].submit(loop, op, stream, key)
+            response = await self._writer.submit(loop, op, stream, key)
         except ValidationError as exc:
             return 400, {"ok": False, "error": str(exc)}, (), False
         except ServeFailure as exc:
@@ -425,8 +388,6 @@ class AdmissionHTTPService:
             self._pending -= 1
             self._latencies.append(time.perf_counter() - started)
             self._served += 1
-        drop = False
-        plan = getattr(self.core, "fault_plan", None)
-        if plan is not None and plan.on_response() == "drop":
-            drop = True
+        plan = self.core.fault_plan
+        drop = plan is not None and plan.on_response() == "drop"
         return 200, response, (), drop

@@ -59,8 +59,6 @@ class Decision:
         Stream index the decision addressed.
     users:
         Receiver user indices (empty tuple = rejection or release).
-    shard:
-        Shard that executed the decision (0 for unsharded gateways).
     """
 
     seq: int
@@ -68,7 +66,6 @@ class Decision:
     position: int
     k: int
     users: "tuple[int, ...]"
-    shard: int = 0
 
 
 def offer_key(position: int) -> str:
@@ -124,35 +121,16 @@ def drive_trace(
     ``gateway`` needs ``offer(stream, key=...)`` / ``release(stream,
     key=...)`` returning service responses.  When ``committed`` is
     omitted and the gateway exposes ``decisions()`` (an
-    :class:`~repro.serve.service.AdmissionCore` does) or
-    ``decisions_by_shard()`` (a
-    :class:`~repro.serve.shard.ShardedAdmissionCore`), the committed
+    :class:`~repro.serve.service.AdmissionCore` does), the committed
     WAL prefix is consumed instead of re-sent — that is what makes a
     kill-and-restored replay stitch seamlessly.  A committed record
     that disagrees with the trace (wrong op or stream) raises loudly.
-
-    For a sharded gateway the consumption runs **per shard**: the
-    driver routes every trace operation exactly as the gateway does, so
-    the *i*-th operation the trace sends to shard ``s`` must match
-    shard ``s``'s *i*-th WAL record — each shard's committed prefix is
-    an independent cursor, which is precisely why a crash that loses
-    different amounts of tail on different shards still resumes
-    seamlessly.
     """
     times, durations, streams = trace_arrays(instance, trace)
     codes = merged_replay_order(times, times + durations, horizon)
     count = len(trace)
-    sharded = hasattr(gateway, "decisions_by_shard")
-    if committed is not None:
-        committed_by_shard = [list(committed)]
-    elif sharded:
-        committed_by_shard = gateway.decisions_by_shard()
-    elif hasattr(gateway, "decisions"):
-        committed_by_shard = [gateway.decisions()]
-    else:
-        committed_by_shard = [[]]
-    route = gateway.route if sharded else (lambda _k: 0)
-    cursor = [0] * len(committed_by_shard)
+    if committed is None:
+        committed = gateway.decisions() if hasattr(gateway, "decisions") else []
     decisions: "list[Decision]" = []
     sessions: "dict[int, int]" = {}
     active: "set[int]" = set()
@@ -163,17 +141,14 @@ def drive_trace(
             position, k = code, int(streams[code])
             if k in active:
                 continue
-            shard = route(k)
-            at = cursor[shard]
-            if at < len(committed_by_shard[shard]):
-                record = committed_by_shard[shard][at]
-                _check_committed(record, at, "offer", k)
+            if op_i < len(committed):
+                record = committed[op_i]
+                _check_committed(record, op_i, "offer", k)
                 users = tuple(int(u) for u in record["users"])
             else:
                 response = gateway.offer(k, key=offer_key(position))
                 users = tuple(int(u) for u in response["user_index"])
-            cursor[shard] = at + 1
-            decisions.append(Decision(op_i, "offer", position, k, users, shard))
+            decisions.append(Decision(op_i, "offer", position, k, users))
             if users:
                 sessions[position] = k
                 active.add(k)
@@ -183,14 +158,11 @@ def drive_trace(
             if k is None:
                 continue
             active.discard(k)
-            shard = route(k)
-            at = cursor[shard]
-            if at < len(committed_by_shard[shard]):
-                _check_committed(committed_by_shard[shard][at], at, "release", k)
+            if op_i < len(committed):
+                _check_committed(committed[op_i], op_i, "release", k)
             else:
                 gateway.release(k, key=release_key(position))
-            cursor[shard] = at + 1
-            decisions.append(Decision(op_i, "release", position, k, (), shard))
+            decisions.append(Decision(op_i, "release", position, k, ()))
         op_i += 1
     return decisions
 
@@ -227,7 +199,6 @@ def drive_with_recovery(
     mu: "float | None" = None,
     config=None,
     fault_plans=(),
-    shards: "int | None" = None,
 ) -> "dict[str, object]":
     """Replay a trace to completion through any number of injected crashes.
 
@@ -237,37 +208,16 @@ def drive_with_recovery(
     core (as process death would) and the next iteration restores from
     disk and resumes the replay off the committed WAL prefix.
 
-    With ``shards`` set the directory is a sharded layout
-    (:class:`~repro.serve.shard.ShardedAdmissionCore`) and each element
-    of ``fault_plans`` is a ``{shard: FaultPlan}`` mapping for that
-    lifetime (see :meth:`~repro.serve.faults.FaultPlan.shard_plans`) —
-    a crash on *any* shard kills the whole process, and the next
-    lifetime restores every shard from disk.
-
     Returns the stitched decision sequence plus crash count, final
-    state digest (merged across shards when sharded) and final WAL
-    length — everything the chaos suite compares against an
-    uninterrupted run.
+    state digest and final WAL length — everything the chaos suite
+    compares against an uninterrupted run.
     """
-    from repro.serve.shard import ShardedAdmissionCore
-    from repro.serve.snapshot import SHARD_MANIFEST_NAME
-
     root = Path(root)
     plans = list(fault_plans)
     lifetime = 0
     while True:
         plan = plans[lifetime] if lifetime < len(plans) else None
-        if shards is not None:
-            if (root / SHARD_MANIFEST_NAME).exists():
-                core = ShardedAdmissionCore.restore(
-                    root, config=config, fault_plans=plan or {}
-                )
-            else:
-                core = ShardedAdmissionCore.create(
-                    instance, root, shards=int(shards), mu=mu,
-                    config=config, fault_plans=plan or {},
-                )
-        elif (root / MANIFEST_NAME).exists():
+        if (root / MANIFEST_NAME).exists():
             core = AdmissionCore.restore(root, config=config, fault_plan=plan)
         else:
             core = AdmissionCore.create(
@@ -278,15 +228,11 @@ def drive_with_recovery(
             decisions = drive_trace(core, instance, trace, horizon)
         except InjectedCrash:
             continue
-        digest = core.state_digest()
-        seq = core.next_seq
         result: "dict[str, object]" = {
             "decisions": decisions,
             "crashes": lifetime - 1,
-            "digest": digest,
-            "seq": seq,
+            "digest": core.state_digest(),
+            "seq": core.next_seq,
         }
-        if shards is not None:
-            result["shard_seqs"] = core.next_seqs()
         core.close()
         return result

@@ -42,6 +42,7 @@ from repro.serve.faults import FaultPlan, FaultySink, InjectedCrash, InjectedFau
 from repro.serve.snapshot import (
     INSTANCE_NAME,
     MANIFEST_NAME,
+    SHARD_MANIFEST_NAME,
     WAL_NAME,
     load_snapshot,
     read_instance,
@@ -165,6 +166,12 @@ class AdmissionCore:
         self.fault_plan = fault_plan
         self.failed = False
         self.started_at = time.time()
+        if (self.root / SHARD_MANIFEST_NAME).exists():
+            raise ValidationError(
+                f"{str(self.root)!r} holds {SHARD_MANIFEST_NAME}: it is a "
+                "sharded service directory, and this build does not serve "
+                "sharded directories"
+            )
         exists = (self.root / MANIFEST_NAME).exists()
         if must_exist is True and not exists:
             raise ValidationError(

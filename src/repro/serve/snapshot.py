@@ -59,73 +59,9 @@ INSTANCE_NAME = "instance.json"
 #: Filename of the decision WAL inside a service directory.
 WAL_NAME = "wal.jsonl"
 
-#: Root-manifest format marker for a *sharded* service directory.
-SHARDED_FORMAT = "repro-serve-sharded"
-
-#: On-disk layout version of a sharded service directory.
-SHARDED_VERSION = 1
-
-#: Filename of the sharded root pointer (the cross-shard barrier
-#: manifest) inside a sharded service directory.
+#: Root pointer of the retired sharded service layout.  This build does
+#: not serve such directories; the core refuses any that holds it.
 SHARD_MANIFEST_NAME = "shard-manifest.json"
-
-
-def shard_dir_name(shard: int) -> str:
-    """Directory name of shard ``shard`` inside a sharded service root."""
-    return f"shard-{int(shard):03d}"
-
-
-def write_shard_manifest(
-    root: "str | Path",
-    *,
-    shards: int,
-    mu: float,
-    barrier_seqs: "list[int] | None" = None,
-) -> None:
-    """Atomically (re)write a sharded service directory's root pointer.
-
-    ``barrier_seqs`` records the per-shard WAL sequence counts at the
-    last cross-shard barrier snapshot (``None`` before the first one).
-    The barrier protocol syncs **every** shard's WAL before this
-    manifest moves, so on restore each shard is guaranteed to hold at
-    least its barrier prefix — checked loudly.
-    """
-    write_checked_manifest(
-        Path(root) / SHARD_MANIFEST_NAME,
-        {
-            "format": SHARDED_FORMAT,
-            "version": SHARDED_VERSION,
-            "shards": int(shards),
-            "mu": float(mu),
-            "barrier_seqs": (
-                None if barrier_seqs is None else [int(s) for s in barrier_seqs]
-            ),
-        },
-        fsync=True,
-    )
-
-
-def read_shard_manifest(root: "str | Path") -> "dict[str, object]":
-    """Read + validate a sharded root pointer; loud on torn/foreign files."""
-    body = read_checked_manifest(
-        Path(root) / SHARD_MANIFEST_NAME, "sharded serve manifest"
-    )
-    if body.get("format") != SHARDED_FORMAT:
-        raise ValidationError(
-            f"{str(Path(root))!r} is not a sharded repro-serve directory "
-            f"(format {body.get('format')!r})"
-        )
-    if body.get("version") != SHARDED_VERSION:
-        raise ValidationError(
-            f"unsupported sharded serve layout version {body.get('version')!r}; "
-            f"this build reads version {SHARDED_VERSION}"
-        )
-    if int(body.get("shards", 0)) < 1:
-        raise ValidationError(
-            f"sharded serve manifest names {body.get('shards')!r} shards; "
-            "the directory is corrupt"
-        )
-    return body
 
 
 def snapshot_name(wal_seq: int) -> str:

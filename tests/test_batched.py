@@ -3,8 +3,7 @@
 The parity suites in ``test_indexed_parity.py`` check end-to-end
 bit-exactness against the dict engine; these tests target the batched
 kernel's internals directly — the non-interaction mask, the vectorized
-commit, adversarial conflict structures, tiny round sizes and the
-optional numba engine's import guard.
+commit, adversarial conflict structures, and tiny round sizes.
 """
 
 from __future__ import annotations
@@ -16,10 +15,8 @@ import pytest
 
 import repro.core.batched as batched
 from repro.core.batched import (
-    HAS_NUMBA,
     commit_picks,
     greedy_kernel_batched,
-    greedy_kernel_numba,
     safe_prefix_mask,
 )
 from repro.exceptions import ValidationError
@@ -161,27 +158,10 @@ class TestKernelPrimitives:
             assert np.array_equal(recv_a, recv_b)
 
 
-class TestNumbaEngine:
-    @pytest.mark.skipif(HAS_NUMBA, reason="numba installed: guard untestable")
-    def test_missing_numba_raises_actionable_error(self):
-        idx = ensure_indexed(all_independent_instance(3))
-        with pytest.raises(ValidationError, match="numba"):
-            greedy_kernel_numba(idx, 10.0, [])
-        with pytest.raises(ValidationError, match="repro-mmd\\[numba\\]"):
+class TestRetiredEngines:
+    def test_numba_engine_is_unknown(self):
+        with pytest.raises(ValidationError, match="unknown engine 'numba'"):
             greedy(all_independent_instance(3), engine="numba")
-
-    @pytest.mark.skipif(not HAS_NUMBA, reason="optional numba not installed")
-    def test_numba_kernel_matches_dict_engine(self):
-        for seed in range(6):
-            instance = random_unit_skew_smd(12, 8, seed=seed)
-            dict_trace = greedy(instance, engine="dict")
-            jit_trace = greedy(instance, engine="numba")
-            assert jit_trace.order == dict_trace.order
-            assert jit_trace.rejected_for_budget == dict_trace.rejected_for_budget
-            assert jit_trace.total_cost == dict_trace.total_cost
-            assert (
-                jit_trace.assignment.as_dict() == dict_trace.assignment.as_dict()
-            )
 
 
 class TestAllocatorBatch:

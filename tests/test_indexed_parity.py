@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.assignment import Assignment
-from repro.core.batched import HAS_NUMBA
 from repro.core.greedy import (
     best_single_stream_assignment,
     greedy,
@@ -36,9 +35,8 @@ from repro.instances.generators import (
 SIZES = st.tuples(st.integers(2, 14), st.integers(1, 10))
 
 #: Every array-native solver engine; each must be bit-identical to the
-#: dict engine.  ``numba`` joins only where the optional extra is
-#: installed (the dedicated CI matrix leg).
-ARRAY_ENGINES = ["indexed", "batched"] + (["numba"] if HAS_NUMBA else [])
+#: dict engine.
+ARRAY_ENGINES = ["indexed", "batched"]
 
 
 def smd_families(seed: int, num_streams: int, num_users: int, skew: float):

@@ -32,7 +32,6 @@ from repro.config import (
     resolve_commit_batch,
     resolve_commit_linger_ms,
     resolve_durability,
-    resolve_serve_shards,
 )
 from repro.core.allocate import OnlineAllocator
 from repro.exceptions import ValidationError
@@ -40,13 +39,6 @@ from repro.instances.workloads import small_streams_workload
 from repro.serve.client import BackoffPolicy, ServeClient, http_call
 from repro.serve.faults import FaultPlan, FaultySink, InjectedFsyncError
 from repro.serve.http import AdmissionHTTPService
-from repro.serve.shard import (
-    ShardedAdmissionCore,
-    merged_digest,
-    open_service,
-    route_stream_id,
-)
-from repro.serve.snapshot import SHARD_MANIFEST_NAME, read_shard_manifest
 from repro.serve.replay import (
     Decision,
     decision_report,
@@ -54,7 +46,7 @@ from repro.serve.replay import (
     drive_with_recovery,
 )
 from repro.serve.service import AdmissionCore, ServeConfig, ServeFailure
-from repro.serve.snapshot import load_snapshot, write_snapshot
+from repro.serve.snapshot import SHARD_MANIFEST_NAME, load_snapshot, write_snapshot
 from repro.serve.wal import (
     DecisionWal,
     FileSink,
@@ -278,31 +270,26 @@ class TestConfigResolution:
         monkeypatch.setenv("REPRO_SERVE_DURABILITY", "flush")
         monkeypatch.setenv("REPRO_COMMIT_BATCH", "48")
         monkeypatch.setenv("REPRO_COMMIT_LINGER_MS", "3.5")
-        monkeypatch.setenv("REPRO_SERVE_SHARDS", "6")
         assert resolve_durability() == "flush"
         assert resolve_commit_batch() == 48
         assert resolve_commit_linger_ms() == 3.5
-        assert resolve_serve_shards() == 6
         # explicit args always win over the environment
         assert resolve_durability("fsync") == "fsync"
         assert resolve_commit_batch(2) == 2
         assert resolve_commit_linger_ms(0) == 0.0
-        assert resolve_serve_shards(1) == 1
 
     def test_defaults_without_env(self, monkeypatch):
         for var in ("REPRO_SERVE_DURABILITY", "REPRO_COMMIT_BATCH",
-                    "REPRO_COMMIT_LINGER_MS", "REPRO_SERVE_SHARDS"):
+                    "REPRO_COMMIT_LINGER_MS"):
             monkeypatch.delenv(var, raising=False)
         assert resolve_durability() == "fsync"
         assert resolve_commit_batch() == 1
         assert resolve_commit_linger_ms() == 0.0
-        assert resolve_serve_shards() == 1
 
     @pytest.mark.parametrize("var,resolver", [
         ("REPRO_SERVE_DURABILITY", resolve_durability),
         ("REPRO_COMMIT_BATCH", resolve_commit_batch),
         ("REPRO_COMMIT_LINGER_MS", resolve_commit_linger_ms),
-        ("REPRO_SERVE_SHARDS", resolve_serve_shards),
     ])
     def test_junk_env_is_loud(self, monkeypatch, var, resolver):
         monkeypatch.setenv(var, "junk")
@@ -535,138 +522,6 @@ class TestGroupCommit:
 
 
 # ----------------------------------------------------------------------
-# Sharded workers
-# ----------------------------------------------------------------------
-
-
-class TestShardedCore:
-    def test_routing_is_a_pure_stable_hash(self, instance):
-        for shards in (1, 2, 5):
-            for s in instance.streams:
-                first = route_stream_id(s.stream_id, shards)
-                assert 0 <= first < shards
-                assert route_stream_id(s.stream_id, shards) == first
-
-    def test_operations_land_on_their_routed_shard(self, tmp_path, instance):
-        core = ShardedAdmissionCore.create(instance, tmp_path / "svc", shards=3)
-        for k, s in enumerate(instance.streams):
-            shard = core.route(s.stream_id)
-            assert shard == core.route(k)  # id and index route identically
-            before = core.cores[shard].next_seq
-            core.offer(s.stream_id)
-            assert core.cores[shard].next_seq == before + 1
-        assert core.next_seq == len(instance.streams)
-        assert sum(core.next_seqs()) == core.next_seq
-        core.close()
-
-    def test_barrier_snapshot_then_restore_is_bit_identical(
-        self, tmp_path, instance
-    ):
-        core = ShardedAdmissionCore.create(instance, tmp_path / "svc", shards=3)
-        for i, s in enumerate(instance.streams):
-            core.offer(s.stream_id, key=f"o{i}")
-        names = core.barrier_snapshot()
-        assert len(names) == 3
-        digest = core.state_digest()
-        seqs = core.next_seqs()
-        core.close()
-        manifest = read_shard_manifest(tmp_path / "svc")
-        assert manifest["barrier_seqs"] == seqs
-        restored = ShardedAdmissionCore.restore(tmp_path / "svc")
-        assert restored.state_digest() == digest
-        assert restored.next_seqs() == seqs
-        # idempotency survives the barrier + restore per shard
-        sid = instance.streams[0].stream_id
-        assert restored.offer(sid, key="o0")["seq"] == 0
-        assert restored.next_seqs() == seqs
-        restored.close()
-
-    def test_merged_digest_equals_unsharded_replay_of_shard_sequences(
-        self, tmp_path, instance
-    ):
-        """The ISSUE invariant: per-shard WALs replay onto fresh
-        unsharded allocators bit-identically, and the merged digest is
-        exactly the digest of those replays."""
-        core = ShardedAdmissionCore.create(instance, tmp_path / "svc", shards=2)
-        for s in instance.streams:
-            core.offer(s.stream_id)
-        for s in instance.streams[::2]:
-            try:
-                core.release(s.stream_id)
-            except ValidationError:
-                pass  # rejected on offer: nothing to release
-        live = core.state_digest()
-        replayed = []
-        for records in core.decisions_by_shard():
-            ref = OnlineAllocator(instance, mu=core.cores[0].allocator.mu)
-            for record in records:
-                if record["op"] == "offer":
-                    assert list(ref.offer_indexed(int(record["k"]))) == \
-                        [int(u) for u in record["users"]]
-                else:
-                    ref.release_indexed(int(record["k"]))
-            replayed.append(ref.state_digest())
-        assert merged_digest(replayed) == live
-        core.close()
-
-    def test_restore_below_barrier_floor_is_loud(self, tmp_path, instance):
-        core = ShardedAdmissionCore.create(instance, tmp_path / "svc", shards=2)
-        for s in instance.streams:
-            core.offer(s.stream_id)
-        core.barrier_snapshot()
-        victim = next(s for s in range(2) if core.next_seqs()[s] > 0)
-        core.close()
-        # Destroy a shard's synced history below what the barrier promised.
-        shard_dir = tmp_path / "svc" / f"shard-{victim:03d}"
-        (shard_dir / "wal.jsonl").write_bytes(b"")
-        import shutil
-
-        shutil.rmtree(shard_dir / "snapshots")
-        from repro.serve.snapshot import write_root_manifest
-
-        write_root_manifest(shard_dir, wal_seq=0, snapshot=None,
-                            mu=core.cores[0].allocator.mu)
-        with pytest.raises(ValidationError, match="barrier manifest promises"):
-            ShardedAdmissionCore.restore(tmp_path / "svc")
-
-    def test_open_service_dispatches_on_layout(self, tmp_path, instance):
-        AdmissionCore.create(instance, tmp_path / "flat").close()
-        ShardedAdmissionCore.create(instance, tmp_path / "wide", shards=2).close()
-        flat = open_service(tmp_path / "flat")
-        wide = open_service(tmp_path / "wide")
-        assert isinstance(flat, AdmissionCore)
-        assert isinstance(wide, ShardedAdmissionCore)
-        flat.close()
-        wide.close()
-        with pytest.raises(ValidationError, match="not a serve directory"):
-            open_service(tmp_path / "absent")
-
-    def test_create_and_restore_guards_are_loud(self, tmp_path, instance):
-        ShardedAdmissionCore.create(instance, tmp_path / "svc", shards=2).close()
-        with pytest.raises(ValidationError, match="already a sharded"):
-            ShardedAdmissionCore.create(instance, tmp_path / "svc", shards=2)
-        with pytest.raises(ValidationError, match="not a sharded serve"):
-            ShardedAdmissionCore.restore(tmp_path / "absent")
-        with pytest.raises(ValidationError, match="requires an instance"):
-            ShardedAdmissionCore(tmp_path / "fresh", shards=2)
-
-    def test_sharded_trace_replay_resumes_over_committed_prefix(
-        self, tmp_path, instance, trace
-    ):
-        gateway = ShardedAdmissionCore.create(instance, tmp_path / "svc",
-                                              shards=3)
-        first = drive_trace(gateway, instance, trace, 60.0)
-        gateway.close()
-        reopened = ShardedAdmissionCore.restore(tmp_path / "svc")
-        seqs = reopened.next_seqs()
-        second = drive_trace(reopened, instance, trace, 60.0)
-        assert second == first           # fully consumed, nothing re-sent
-        assert reopened.next_seqs() == seqs
-        assert {d.shard for d in first} <= {0, 1, 2}
-        reopened.close()
-
-
-# ----------------------------------------------------------------------
 # Replay driver
 # ----------------------------------------------------------------------
 
@@ -778,6 +633,28 @@ class TestHTTP:
 
         assert run_http(scenario, instance, tmp_path)
 
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_bad_content_length_gets_400_and_close(
+        self, tmp_path, instance, length
+    ):
+        async def scenario(core, server, client, port):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(
+                f"POST /offer HTTP/1.1\r\nContent-Length: {length}\r\n\r\n"
+                .encode()
+            )
+            await writer.drain()
+            reply = await asyncio.wait_for(reader.read(), timeout=5.0)
+            writer.close()
+            head, _, body = reply.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 400 ")
+            assert b"Connection: close" in head
+            assert "Content-Length" in json.loads(body)["error"]
+            assert core.next_seq == 0
+            return True
+
+        assert run_http(scenario, instance, tmp_path)
+
     def test_dropped_ack_and_duplicate_are_at_most_once(self, tmp_path, instance):
         sids = [s.stream_id for s in instance.streams]
 
@@ -855,31 +732,6 @@ class TestHTTP:
         restored.close()
 
 
-def run_http_sharded(test_coro_factory, instance, tmp_path, *, shards,
-                     config=None):
-    """Start a sharded service on an ephemeral port and run a coroutine."""
-
-    async def runner():
-        core = ShardedAdmissionCore.create(
-            instance, tmp_path / "svc", shards=shards,
-            config=config or ServeConfig(snapshot_every=100),
-        )
-        server = AdmissionHTTPService(core)
-        port = await server.start()
-        forever = asyncio.create_task(server.serve_forever())
-        try:
-            return await test_coro_factory(core, server, port)
-        finally:
-            forever.cancel()
-            try:
-                await forever
-            except asyncio.CancelledError:
-                pass
-            await server.stop()
-
-    return asyncio.run(runner())
-
-
 class TestHTTPBatching:
     def test_concurrent_offers_share_group_commits(self, tmp_path, instance):
         """Concurrent load drains in batches: fewer fsyncs than decisions."""
@@ -908,51 +760,10 @@ class TestHTTPBatching:
             assert core.wal.sink.sync_count < count
             stats = await client.stats()
             assert stats["batch_sizes"] == histogram
-            assert stats["queue_depths"] == [0]
+            assert stats["queue_depth"] == 0
             return True
 
         assert run_http(scenario, instance, tmp_path, config=config)
-
-    def test_sharded_http_routes_and_barriers_on_stop(self, tmp_path, instance):
-        sids = [s.stream_id for s in instance.streams]
-        config = ServeConfig(snapshot_every=1000, commit_batch=4,
-                             commit_linger_ms=5.0, max_pending=64)
-        outcome = {}
-
-        async def scenario(core, server, port):
-            loop = asyncio.get_running_loop()
-
-            def one(sid, i):
-                return http_call("127.0.0.1", port, "POST", "/offer",
-                                 {"stream": sid, "key": f"k{i}"}, timeout=10.0)
-
-            results = await asyncio.gather(*[
-                loop.run_in_executor(None, one, sid, i)
-                for i, sid in enumerate(sids)
-            ])
-            assert all(status == 200 for status, _ in results)
-            expected = [0] * 2
-            for sid in sids:
-                expected[core.route(sid)] += 1
-            assert core.next_seqs() == expected
-            status, stats = await loop.run_in_executor(
-                None, lambda: http_call("127.0.0.1", port, "GET", "/stats"))
-            assert status == 200
-            assert stats["shards"] == 2
-            assert stats["shard_seqs"] == expected
-            assert stats["seq"] == len(sids)
-            outcome["seqs"] = expected
-            outcome["digest"] = core.state_digest()
-            return True
-
-        assert run_http_sharded(scenario, instance, tmp_path, shards=2,
-                                config=config)
-        # stop() quiesced the workers and took a cross-shard barrier
-        manifest = read_shard_manifest(tmp_path / "svc")
-        assert manifest["barrier_seqs"] == outcome["seqs"]
-        restored = ShardedAdmissionCore.restore(tmp_path / "svc")
-        assert restored.state_digest() == outcome["digest"]
-        restored.close()
 
 
 class TestClientDeterminism:
@@ -1059,24 +870,11 @@ class TestServeCli:
         assert main(["serve", "restore", "--dir", str(tmp_path / "nope")]) == 2
         assert "not a serve directory" in capsys.readouterr().err
 
-    def test_restore_reports_sharded_layout(self, tmp_path, instance, capsys):
-        core = ShardedAdmissionCore.create(instance, tmp_path / "svc", shards=2)
-        for i, s in enumerate(instance.streams):
-            core.offer(s.stream_id, key=f"o{i}")
-        core.barrier_snapshot()
-        digest = core.state_digest()
-        core.close()
-        assert main(["serve", "restore", "--dir", str(tmp_path / "svc")]) == 0
-        out = capsys.readouterr().out
-        assert "shards" in out and digest in out
-        assert "per-shard records" in out
-
     @pytest.mark.parametrize("flag,value", [
         ("--commit-batch", "0"),
         ("--commit-batch", "100000"),
         ("--commit-linger-ms", "-1"),
         ("--durability", "maybe"),
-        ("--shards", "0"),
     ])
     def test_run_junk_knobs_exit_2(self, tmp_path, capsys, flag, value):
         code = main(["serve", "run", "--dir", str(tmp_path / "svc"),
@@ -1091,16 +889,31 @@ class TestServeCli:
         assert code == 2
         assert "bad commit batch" in capsys.readouterr().err
 
-    def test_run_shard_count_mismatch_is_loud(self, tmp_path, instance, capsys):
-        ShardedAdmissionCore.create(instance, tmp_path / "svc", shards=2).close()
-        code = main(["serve", "run", "--dir", str(tmp_path / "svc"),
-                     "--shards", "3"])
-        assert code == 2
-        assert "fixed at creation" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", [
+        ["serve", "run", "--workload", "small-streams"],
+        ["serve", "restore"],
+    ], ids=["run", "restore"])
+    def test_sharded_layout_is_refused_untouched(
+        self, tmp_path, instance, capsys, command
+    ):
+        """A directory of the retired sharded layout exits 2, unchanged."""
+        root = tmp_path / "svc"
+        AdmissionCore.create(instance, root / "shard-000").close()
+        (root / SHARD_MANIFEST_NAME).write_text("{}")
 
-    def test_run_sharded_batched_lifecycle(self, tmp_path):
+        def files():
+            return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+        before = files()
+        assert main(command + ["--dir", str(root)]) == 2
+        err = capsys.readouterr().err
+        assert SHARD_MANIFEST_NAME in err and "sharded" in err
+        assert files() == before
+
+    def test_run_batched_lifecycle(self, tmp_path, instance):
         """End to end through the real CLI: startup/shutdown JSON lines
-        carry the queue, batch-histogram and per-shard counters."""
+        carry the queue and batch-histogram counters, and the stop path
+        leaves a directory that restores to the served state."""
         import os as _os
         import signal as _signal
         import subprocess
@@ -1114,19 +927,19 @@ class TestServeCli:
             [_sys.executable, "-m", "repro", "serve", "run",
              "--dir", str(root),
              "--workload", "small-streams", "--streams", "12", "--users", "8",
-             "--seed", "3", "--shards", "2",
+             "--seed", "3",
              "--commit-batch", "8", "--commit-linger-ms", "1",
              "--durability", "flush", "--snapshot-every", "50"],
             stdout=subprocess.PIPE, env=env, text=True,
         )
         try:
             started = json.loads(proc.stdout.readline())
-            assert started["shards"] == 2
-            assert started["shard_seqs"] == [0, 0]
-            assert started["queue_depths"] == [0, 0]
+            assert started["seq"] == 0
+            assert started["queue_depth"] == 0
             assert started["commit_batch"] == 8
             assert started["commit_linger_ms"] == 1.0
             assert started["durability"] == "flush"
+            assert "shards" not in started and "shard_seqs" not in started
             for i in range(10):
                 status, body = http_call(
                     "127.0.0.1", started["port"], "POST", "/offer",
@@ -1140,13 +953,18 @@ class TestServeCli:
             proc.wait()
         assert stopped["serving"] is False
         assert stopped["seq"] == 10
-        assert sum(stopped["shard_seqs"]) == 10
+        assert stopped["queue_depth"] == 0
         assert stopped["served"] == 10
         total = sum(int(k) * v for k, v in stopped["batch_sizes"].items())
         assert total == 10
-        # the stop path barrier-snapshotted: restore agrees with shutdown
-        restored = ShardedAdmissionCore.restore(root)
-        assert restored.next_seqs() == stopped["shard_seqs"]
-        info = read_shard_manifest(root)
-        assert info["barrier_seqs"] == stopped["shard_seqs"]
+        # The same ten offers on an in-process core give the served state.
+        with AdmissionCore.create(instance, tmp_path / "ref") as reference:
+            for i in range(10):
+                reference.offer(i, key=f"o{i}")
+            digest = reference.state_digest()
+        # The stop path snapshotted: restore agrees with the shutdown state.
+        restored = AdmissionCore.restore(root)
+        assert restored.next_seq == 10
+        assert restored.restore_info["snapshot_seq"] == 10
+        assert restored.state_digest() == digest
         restored.close()

@@ -37,7 +37,6 @@ from repro.serve.client import http_call
 from repro.serve.faults import FaultPlan, InjectedCrash
 from repro.serve.replay import decision_report, drive_trace, drive_with_recovery
 from repro.serve.service import AdmissionCore, ServeConfig
-from repro.serve.shard import ShardedAdmissionCore, merged_digest
 from repro.serve.wal import DecisionWal, read_wal, repair_wal
 from repro.sim.policies import AllocatePolicy
 from repro.sim.simulation import ArrivalModel, draw_trace, simulate_trace
@@ -212,94 +211,6 @@ class TestGroupCommitCrash:
         # never a fabricated or half-parsed record.
         assert survivors == reference[:len(survivors)]
         assert restored.next_seq <= len(reference)
-        restored.close()
-
-
-class TestShardedChaos:
-    """Sharded layouts under per-shard crash schedules.
-
-    The killed run's stitched decisions must equal an uninterrupted
-    sharded run, and the restored merged digest must equal an unsharded
-    replay of the same per-shard decision sequences — the ISSUE's
-    barrier-snapshot invariant, end to end.
-    """
-
-    SHARDS = 3
-
-    @pytest.fixture(scope="class")
-    def clean_sharded(self, instance, trace, tmp_path_factory):
-        root = tmp_path_factory.mktemp("clean-sharded") / "svc"
-        out = drive_with_recovery(
-            root, instance, trace, HORIZON,
-            config=ServeConfig(snapshot_every=32), shards=self.SHARDS,
-        )
-        assert out["crashes"] == 0
-        return out
-
-    @settings(max_examples=8, deadline=None, derandomize=True)
-    @given(data=st.data())
-    def test_kill_shards_restore_stitches_bit_identically(
-        self, data, instance, trace, clean_sharded, tmp_path_factory
-    ):
-        min_ops = min(clean_sharded["shard_seqs"])
-        assert min_ops >= 1, "trace too small: a shard got no operations"
-        lifetimes = data.draw(st.integers(min_value=1, max_value=3),
-                              label="lifetimes")
-        plans = []
-        for lifetime in range(lifetimes):
-            seed = data.draw(st.integers(min_value=0, max_value=2**31),
-                             label=f"seed[{lifetime}]")
-            crashed = data.draw(st.integers(min_value=1, max_value=self.SHARDS),
-                                label=f"crashed[{lifetime}]")
-            mode = data.draw(st.sampled_from(["kill", "power"]),
-                             label=f"mode[{lifetime}]")
-            plans.append(FaultPlan.shard_plans(
-                seed, shards=self.SHARDS, ops=min_ops,
-                crashed_shards=crashed, crash_mode=mode,
-            ))
-        root = tmp_path_factory.mktemp("sharded-chaos") / "svc"
-        out = drive_with_recovery(
-            root, instance, trace, HORIZON,
-            config=ServeConfig(snapshot_every=32),
-            shards=self.SHARDS, fault_plans=plans,
-        )
-        # the first lifetime's crash point is below every shard's op
-        # count, so at least one crash certainly fired
-        assert out["crashes"] >= 1
-        assert out["decisions"] == clean_sharded["decisions"]
-        assert out["digest"] == clean_sharded["digest"]
-        assert out["shard_seqs"] == clean_sharded["shard_seqs"]
-
-    def test_restored_merged_digest_equals_unsharded_replay(
-        self, instance, trace, clean_sharded, tmp_path_factory
-    ):
-        """Kill one shard mid-run; after restore, every shard's WAL must
-        replay onto a fresh *unsharded* allocator to exactly the digest
-        the sharded service reports."""
-        root = tmp_path_factory.mktemp("digest") / "svc"
-        plans = [FaultPlan.shard_plans(
-            99, shards=self.SHARDS, ops=min(clean_sharded["shard_seqs"]),
-            crashed_shards=1, crash_mode="power",
-        )]
-        out = drive_with_recovery(
-            root, instance, trace, HORIZON,
-            config=ServeConfig(snapshot_every=32),
-            shards=self.SHARDS, fault_plans=plans,
-        )
-        assert out["crashes"] == 1
-        restored = ShardedAdmissionCore.restore(root)
-        replayed = []
-        for records in restored.decisions_by_shard():
-            fresh = OnlineAllocator(instance, mu=restored.cores[0].allocator.mu)
-            for record in records:
-                if record["op"] == "offer":
-                    users = [int(u) for u in fresh.offer_indexed(int(record["k"]))]
-                    assert users == [int(u) for u in record["users"]]
-                else:
-                    fresh.release_indexed(int(record["k"]))
-            replayed.append(fresh.state_digest())
-        assert merged_digest(replayed) == restored.state_digest()
-        assert restored.state_digest() == out["digest"]
         restored.close()
 
 
