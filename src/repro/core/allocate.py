@@ -47,7 +47,15 @@ finite duration):
   at construction, aligned with the stream-major CSR arrays, and the
   Line-4 drop walk is one vectorized :func:`_drop_walk` shared by
   :meth:`OnlineAllocator.offer_indexed` and
-  :meth:`OnlineAllocator.offer_batch`.
+  :meth:`OnlineAllocator.offer_batch`;
+- rejections are memoized exactly: a decision is a pure function of
+  the stream, the loads and the charge caches (``enforce_budgets`` and
+  ``µ`` are fixed at construction), and a rejection moves none of
+  them, so a stream rejected since the last commit, release, resync or
+  :meth:`~OnlineAllocator.load_state` is rejected again in O(1), with
+  no charge gather, sort or drop walk.  The memo is one state epoch per
+  rejected stream; it is not part of the snapshot, and a restored
+  allocator (cold memo) gives the same answers.
 """
 
 from __future__ import annotations
@@ -245,15 +253,21 @@ class OnlineAllocator:
         self._exp_server = np.ones(idx.m)
         self._exp_user = np.ones((num_users, mc))
         self._ops_since_resync = 0
+        # State epoch: bumped whenever a decision input can move (every
+        # commit and release, and a resync), so "rejected at the current
+        # epoch" proves a re-offer would be rejected again.  load_state
+        # empties the memo instead.
+        self._epoch = 0
         #: Active sessions: stream index -> its receivers' pair indices
         #: into the stream-major CSR (never empty).  The single record of
         #: what is committed; :attr:`assignment` and the snapshot's
         #: ``offered`` list are derived from it.
         self._active_pairs: "dict[int, np.ndarray]" = {}
         # Rejected stream indices in first-rejection order (a dict is
-        # both the order and the membership test); bounded by the
-        # catalog size, so million-event runs do not leak memory.
-        self._rejected: "dict[int, None]" = {}
+        # both the order and the membership test), each mapped to the
+        # epoch of its latest rejection — the rejection memo.  Bounded
+        # by the catalog size, so million-event runs do not leak memory.
+        self._rejected: "dict[int, int | None]" = {}
         #: Total rejections, re-offers included.
         self.rejected_count = 0
 
@@ -348,7 +362,9 @@ class OnlineAllocator:
         )
 
     def _charges_mutated(self) -> None:
-        """Count a commit/release toward the periodic drift-guard resync."""
+        """Start a new state epoch and count a commit/release toward
+        the periodic drift-guard resync."""
+        self._epoch += 1
         self._ops_since_resync += 1
         if self._ops_since_resync >= self.charge_resync:
             self.resync_charges()
@@ -367,6 +383,7 @@ class OnlineAllocator:
             self._exp_server[i] = self.mu ** float(self._server_load_arr[i])
         self._exp_user[...] = self.mu ** self._user_load_arr
         self._ops_since_resync = 0
+        self._epoch += 1
 
     # ------------------------------------------------------------------
     # Online interface
@@ -374,9 +391,11 @@ class OnlineAllocator:
 
     def _reject(self, k: int) -> None:
         """Record a rejection: the count always grows, the id list only
-        on first rejection (so re-offers over a long trace stay O(1))."""
+        on first rejection (so re-offers over a long trace stay O(1)),
+        and the memo notes the epoch it was decided at (re-assigning a
+        dict key keeps its first-rejection position)."""
         self.rejected_count += 1
-        self._rejected.setdefault(k)
+        self._rejected[k] = self._epoch
 
     def _check_active(self, k: int) -> None:
         """Loud double-offer guard: an accepted stream stays active until
@@ -411,11 +430,15 @@ class OnlineAllocator:
     def offer_indexed(self, k: int) -> np.ndarray:
         """Index-native :meth:`offer`: stream index in, receiver user
         indices out (same floats, same decisions — the string form
-        delegates here)."""
+        delegates here).  A stream already rejected in the current state
+        epoch is rejected again from the memo, before any charge work."""
         idx = self._idx
         k = self._check_stream_index(k)
         self._check_active(k)
         empty = np.empty(0, dtype=np.int64)
+        if self._rejected.get(k) == self._epoch:
+            self._reject(k)
+            return empty
         lo, hi = int(idx.s_indptr[k]), int(idx.s_indptr[k + 1])
         if lo == hi:
             self._reject(k)
@@ -459,67 +482,33 @@ class OnlineAllocator:
         Used by the batched simulation engine for arrival groups whose
         decisions cannot interact until one commits.  The exponential
         charges only move on a commit, so every offer the sequential
-        walk would *reject* sees unchanged state — this method
-        vectorizes the rejection filter (batched charges, one
-        segment-major ``lexsort``, and the padded-row :func:`_drop_walk`
-        that :meth:`offer_indexed` runs on a single row) and then
+        walk would *reject* sees unchanged state — this method answers
+        memo hits (streams already rejected in the current epoch)
+        directly, runs the vectorized rejection filter
+        (:meth:`_keep_counts`) over the rows that miss, and then
         delegates the first offer predicted to select users to
         :meth:`offer_indexed`, which recomputes and commits.  The
         answers are therefore bit-identical to calling
         :meth:`offer_indexed` in sequence; the prefix ends at the first
         potentially state-changing answer (the caller re-offers the
-        rest).
+        rest).  Every index is validated before any state is written.
         """
-        idx = self._idx
-        empty = np.empty(0, dtype=np.int64)
-        total = len(ks)
-        if total == 0:
-            return []
         ks_arr = np.asarray(ks, dtype=np.int64)
-        starts = idx.s_indptr[ks_arr]
-        counts = (idx.s_indptr[ks_arr + 1] - starts).astype(np.int64)
-        keep = np.zeros(total, dtype=np.int64)  # predicted Line-4 count
-        nz = counts > 0
-        if nz.any():
-            from repro.core.indexed import _concat_ranges
+        ks_list = ks_arr.tolist()
+        for k in ks_list:
+            if not 0 <= k < self._idx.num_streams:
+                self._check_stream_index(k)  # raises, before any state moves
+        memo, epoch = self._rejected, self._epoch
+        misses = [p for p, k in enumerate(ks_list) if memo.get(k) != epoch]
+        keep = [0] * len(ks_list)  # predicted Line-4 count; 0 for memo hits
+        if misses:
+            counts = self._keep_counts(ks_arr[misses]).tolist()
+            for position, count in zip(misses, counts):
+                keep[position] = count
 
-            row_pairs = _concat_ranges(starts[nz], counts[nz])
-            row_users = idx.s_user[row_pairs]
-            row_w = idx.s_w[row_pairs]
-            lengths = counts[nz]
-            nrows = lengths.size
-            seg = np.repeat(np.arange(nrows), lengths)
-            charges = self._user_charges(row_users, row_pairs)
-
-            # Per-offer server charge, measures accumulating in the
-            # scalar loop's ascending order (uncharged terms contribute
-            # an exact 0.0 instead of being skipped — same float).
-            server_charge = np.zeros(nrows)
-            ks_nz = ks_arr[nz]
-            for i in self._server_measures:
-                server_charge += np.where(
-                    self._server_charged[ks_nz, i],
-                    self._server_ratio[ks_nz, i] * self._exp_cost_server(i),
-                    0.0,
-                )
-
-            with np.errstate(invalid="ignore"):
-                ratio = charges / row_w
-            # Segment-major stable lexsort == each offer's own
-            # (rank, charge/utility) lexsort, concatenated.
-            order = np.lexsort((self._pair_rank[row_pairs], ratio, seg))
-            # Right-align each offer's sorted users in a zero-padded row.
-            ends = np.cumsum(lengths)
-            width = int(lengths.max())
-            col = np.arange(seg.size, dtype=np.int64) + (width - ends)[seg]
-            sorted_cw = np.zeros((2, nrows, width))
-            sorted_cw[0, seg, col] = charges[order]
-            sorted_cw[1, seg, col] = row_w[order]
-            keep[nz] = _drop_walk(server_charge, sorted_cw, lengths)
-
+        empty = np.empty(0, dtype=np.int64)
         answers: "list[np.ndarray]" = []
-        for position in range(total):
-            k = int(ks_arr[position])
+        for position, k in enumerate(ks_list):
             self._check_active(k)
             if keep[position] == 0:
                 self._reject(k)
@@ -532,6 +521,57 @@ class OnlineAllocator:
             answers.append(self.offer_indexed(k))
             break
         return answers
+
+    def _keep_counts(self, ks: np.ndarray) -> np.ndarray:
+        """Line 4's kept-user count for an offer of each stream in ``ks``
+        at the current state, vectorized over the group: batched charges,
+        one segment-major ``lexsort`` and the padded-row
+        :func:`_drop_walk` that :meth:`offer_indexed` runs on a single
+        row (an empty row keeps 0).  Reads state, writes none.
+        """
+        idx = self._idx
+        starts = idx.s_indptr[ks]
+        counts = (idx.s_indptr[ks + 1] - starts).astype(np.int64)
+        keep = np.zeros(ks.size, dtype=np.int64)
+        nz = counts > 0
+        if not nz.any():
+            return keep
+        from repro.core.indexed import _concat_ranges
+
+        row_pairs = _concat_ranges(starts[nz], counts[nz])
+        row_users = idx.s_user[row_pairs]
+        row_w = idx.s_w[row_pairs]
+        lengths = counts[nz]
+        nrows = lengths.size
+        seg = np.repeat(np.arange(nrows), lengths)
+        charges = self._user_charges(row_users, row_pairs)
+
+        # Per-offer server charge, measures accumulating in the
+        # scalar loop's ascending order (uncharged terms contribute
+        # an exact 0.0 instead of being skipped — same float).
+        server_charge = np.zeros(nrows)
+        ks_nz = ks[nz]
+        for i in self._server_measures:
+            server_charge += np.where(
+                self._server_charged[ks_nz, i],
+                self._server_ratio[ks_nz, i] * self._exp_cost_server(i),
+                0.0,
+            )
+
+        with np.errstate(invalid="ignore"):
+            ratio = charges / row_w
+        # Segment-major stable lexsort == each offer's own
+        # (rank, charge/utility) lexsort, concatenated.
+        order = np.lexsort((self._pair_rank[row_pairs], ratio, seg))
+        # Right-align each offer's sorted users in a zero-padded row.
+        ends = np.cumsum(lengths)
+        width = int(lengths.max())
+        col = np.arange(seg.size, dtype=np.int64) + (width - ends)[seg]
+        sorted_cw = np.zeros((2, nrows, width))
+        sorted_cw[0, seg, col] = charges[order]
+        sorted_cw[1, seg, col] = row_w[order]
+        keep[nz] = _drop_walk(server_charge, sorted_cw, lengths)
+        return keep
 
     def _hard_guard(
         self, k: int, selected_users: np.ndarray, selected_pairs: np.ndarray
@@ -649,7 +689,9 @@ class OnlineAllocator:
         validated in full before anything is written: ``offered`` must
         name exactly the streams of ``active_pairs``, and every active
         stream must hold at least one receiver pair inside its own
-        interest row.
+        interest row.  The rejection memo is not part of the state and
+        restarts empty, so the first re-offer of each rejected stream
+        is decided in full.
         """
         if float(state["mu"]) != self.mu:
             raise ValidationError(
@@ -709,6 +751,7 @@ class OnlineAllocator:
             target[...] = source
         self._ops_since_resync = int(state["ops_since_resync"])
         self._active_pairs = active
+        # No rejection carries an epoch yet: the memo restarts cold.
         self._rejected = dict.fromkeys(idx.stream_index[sid] for sid in rejected)
         self.rejected_count = int(state["rejected_count"])
 

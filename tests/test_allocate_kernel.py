@@ -16,7 +16,13 @@ capacity measures, infinite caps and budgets, and zero-load pairs:
   sequences and across a ``state_dict`` → ``load_state`` round trip;
 - the drop walk equals the scalar loop, NaN and ``inf`` totals included;
 - the derived ``.assignment`` view equals an :class:`Assignment`
-  maintained op by op, and :func:`allocate` keeps its results.
+  maintained op by op, and :func:`allocate` keeps its results;
+- the rejection memo is exact: the reference overrides
+  ``offer_indexed`` and so never reads the memo, and long reject-heavy
+  interleavings of offers, batches, releases, resyncs and state round
+  trips give equal answers and state; each invalidation point (commit,
+  release, resync, ``load_state``) forces a full re-decision;
+- ``offer_batch`` validates every stream index before writing state.
 """
 
 from __future__ import annotations
@@ -30,16 +36,20 @@ import pytest
 from repro.core.allocate import OnlineAllocator, _drop_walk, allocate
 from repro.core.assignment import Assignment
 from repro.core.instance import FEASIBILITY_RTOL, MMDInstance, Stream, User
+from repro.exceptions import ValidationError
 from repro.instances.generators import small_streams_mmd
 
 
-def hand_built(seed: int, streams: int = 14, users: int = 10, mc: int = 3) -> MMDInstance:
+def hand_built(
+    seed: int, streams: int = 14, users: int = 10, mc: int = 3, tight: float = 1.0
+) -> MMDInstance:
     """Instance exercising every branch of the charge kernel.
 
     Budgets: one finite, one infinite, one finite measure many streams
     do not cost.  Capacities: a mix of finite and infinite caps per
     user.  Loads: some pairs load a measure with zero, some
-    positive-utility pairs have no load entry at all.
+    positive-utility pairs have no load entry at all.  ``tight`` scales
+    the finite budgets and caps (below 1: a reject-heavy instance).
     """
     rng = random.Random(seed)
     catalog = []
@@ -52,7 +62,10 @@ def hand_built(seed: int, streams: int = 14, users: int = 10, mc: int = 3) -> MM
         catalog.append(Stream(f"s{s:02d}", costs))
     people = []
     for u in range(users):
-        caps = tuple(math.inf if rng.random() < 0.3 else rng.uniform(2.0, 6.0) for _ in range(mc))
+        caps = tuple(
+            math.inf if rng.random() < 0.3 else max(1.5, tight * rng.uniform(2.0, 6.0))
+            for _ in range(mc)
+        )
         utilities, loads = {}, {}
         for s in range(streams):
             if rng.random() < 0.6:
@@ -63,7 +76,8 @@ def hand_built(seed: int, streams: int = 14, users: int = 10, mc: int = 3) -> MM
                         0.0 if rng.random() < 0.25 else rng.uniform(0.1, 1.5) for _ in range(mc)
                     )
         people.append(User(f"u{u:02d}", rng.uniform(10.0, 40.0), caps, utilities, loads))
-    return MMDInstance(catalog, people, (streams * 0.6, math.inf, streams * 0.4), name=f"hand-{seed}")
+    budgets = (max(3.0, tight * streams * 0.6), math.inf, max(2.0, tight * streams * 0.4))
+    return MMDInstance(catalog, people, budgets, name=f"hand-{seed}")
 
 
 def _scalar_drop(server_charge, charges, w):
@@ -355,3 +369,182 @@ class TestDerivedAssignment:
             result = allocate(inst, order=order)
             assert result.assignment == expected
             assert result.rejected == reference.rejected
+
+
+MEMO_INSTANCES = [
+    pytest.param(lambda: hand_built(4, mc=1, tight=0.5), id="tight-mc1"),
+    pytest.param(lambda: hand_built(5, streams=18, users=12, mc=2, tight=0.5), id="tight-mc2"),
+    pytest.param(lambda: hand_built(6, streams=10, users=14, mc=3, tight=0.4), id="tight-mc3"),
+]
+
+
+def _memo_hit(allocator, k) -> bool:
+    """Whether ``offer_indexed(k)`` would answer from the rejection memo."""
+    return allocator._rejected.get(k) == allocator._epoch
+
+
+@pytest.mark.parametrize("enforce", [True, False], ids=["guard", "noguard"])
+@pytest.mark.parametrize("make", MEMO_INSTANCES)
+def test_memo_matches_unmemoized_reference(make, enforce):
+    """Long reject-heavy interleavings: memoized answers equal the
+    reference's full recomputes, and so do the rejection bookkeeping and
+    the state digest, after every step."""
+    inst = make()
+    fast = OnlineAllocator(inst, enforce_budgets=enforce, charge_resync=40)
+    reference = GatherAndMaskAllocator(inst, enforce_budgets=enforce, charge_resync=40)
+    rng = random.Random(17)
+    offers = hits = 0
+    for _ in range(700):
+        idle = [k for k in range(inst.num_streams) if k not in fast._active_pairs]
+        roll = rng.random()
+        if roll < 0.05 and fast._active_pairs:
+            k = rng.choice(sorted(fast._active_pairs))
+            fast.release_indexed(k)
+            reference.release_indexed(k)
+        elif roll < 0.07:
+            fast.resync_charges()
+            reference.resync_charges()
+        elif roll < 0.08:
+            restored = OnlineAllocator(inst, enforce_budgets=enforce, charge_resync=40)
+            restored.load_state(fast.state_dict())
+            fast = restored
+        elif roll < 0.25:
+            ks = rng.sample(idle, min(len(idle), rng.randint(1, 6)))
+            hits += sum(_memo_hit(fast, k) for k in ks)
+            answers = fast.offer_batch(np.array(ks, dtype=np.int64))
+            assert 1 <= len(answers) <= len(ks)
+            for k, got in zip(ks, answers):
+                assert np.array_equal(got, reference.offer_indexed(k))
+            offers += len(answers)
+        else:
+            k = rng.choice(idle)
+            hits += _memo_hit(fast, k)
+            assert np.array_equal(fast.offer_indexed(k), reference.offer_indexed(k))
+            offers += 1
+        assert fast.rejected_count == reference.rejected_count
+        assert fast.rejected == reference.rejected
+        assert fast.state_digest() == reference.state_digest()
+    # Reject-heavy, and the memo answered a large share of the offers.
+    assert fast.rejected_count > offers // 2
+    assert hits > offers // 4
+
+
+def _pair_instance(extra_free_stream: bool = False) -> MMDInstance:
+    """Two streams that each take 60% of the one server budget, wanted
+    by one user: whichever is admitted first blocks the other.  With
+    ``extra_free_stream``, a third stream costs the server nothing and
+    goes to a second user, so it commits without touching the pair."""
+    catalog = [Stream("a", (0.6,)), Stream("b", (0.6,))]
+    people = [User("u", math.inf, (math.inf,), {"a": 5.0, "b": 5.0}, {})]
+    if extra_free_stream:
+        catalog.append(Stream("c", (0.0,)))
+        people.append(User("v", math.inf, (math.inf,), {"c": 5.0}, {}))
+    return MMDInstance(catalog, people, (1.0,), name="memo-pair")
+
+
+class TestMemoInvalidation:
+    """A stream rejected before a state change is decided in full after
+    it; before the change, its re-offer is a memo hit with no charge
+    work."""
+
+    @staticmethod
+    def counting(allocator) -> "list[int]":
+        """Count the allocator's charge computations (full decisions)."""
+        calls = [0]
+        inner = allocator._user_charges
+
+        def wrapper(*args):
+            calls[0] += 1
+            return inner(*args)
+
+        allocator._user_charges = wrapper
+        return calls
+
+    def blocked(self, **kwargs):
+        """``a`` admitted, then ``b`` rejected and re-rejected by the memo."""
+        allocator = OnlineAllocator(_pair_instance(**kwargs))
+        calls = self.counting(allocator)
+        assert allocator.offer("a") == ["u"]
+        assert allocator.offer("b") == []
+        assert calls[0] == 2
+        assert allocator.offer("b") == []
+        assert calls[0] == 2  # memo hit: no charge work
+        assert allocator.rejected_count == 2 and allocator.rejected == ["b"]
+        return allocator, calls
+
+    def test_commit_invalidates(self):
+        allocator, calls = self.blocked(extra_free_stream=True)
+        assert allocator.offer("c") == ["v"]  # a commit elsewhere
+        assert calls[0] == 3
+        assert allocator.offer("b") == []
+        assert calls[0] == 4  # decided in full again
+        assert allocator.offer("b") == []
+        assert calls[0] == 4
+
+    def test_release_invalidates(self):
+        allocator, calls = self.blocked()
+        allocator.release("a")
+        assert allocator.offer("b") == ["u"]
+        assert calls[0] == 3
+
+    def test_resync_invalidates(self):
+        """A drifted charge cache rejects; the resync restores the exact
+        ``µ^L`` and the stream is then admitted."""
+        allocator = OnlineAllocator(_pair_instance())
+        allocator._exp_server[0] = 1e12  # drift a multiplicative update could cause
+        assert allocator.offer("b") == []
+        assert allocator.offer("b") == []
+        allocator.resync_charges()
+        assert allocator.offer("b") == ["u"]
+
+    def test_load_state_invalidates(self):
+        """The restored state admits ``b``, which this allocator's memo had
+        rejected at its current epoch."""
+        allocator, calls = self.blocked()
+        source = OnlineAllocator(allocator.instance)
+        assert source.offer("a") == ["u"]
+        assert source.offer("b") == []
+        source.release("a")
+        assert source._epoch == allocator._epoch + 1
+        allocator.load_state(source.state_dict())
+        assert allocator.offer("b") == ["u"]
+        assert calls[0] == 3
+
+    def test_snapshot_excludes_memo(self):
+        allocator, _calls = self.blocked()
+        assert set(allocator.state_dict()) == {
+            "mu", "server_load", "user_load", "exp_server", "exp_user",
+            "ops_since_resync", "offered", "active_pairs", "rejected",
+            "rejected_count",
+        }
+        restored = OnlineAllocator(allocator.instance)
+        restored.load_state(allocator.state_dict())
+        assert restored.state_digest() == allocator.state_digest()
+        assert restored.offer("b") == allocator.offer("b") == []
+        assert restored.state_digest() == allocator.state_digest()
+
+
+class TestOfferBatchValidation:
+    """``offer_batch`` refuses bad stream indices like ``offer_indexed``,
+    before writing any state."""
+
+    @pytest.mark.parametrize("ks", [[-1], [10], [None, -1], [None, 10]])
+    def test_bad_index_is_refused_untouched(self, ks):
+        inst = hand_built(8, streams=10)
+        allocator = OnlineAllocator(inst)
+        for k in range(inst.num_streams):
+            allocator.offer_indexed(k)
+        idle = [k for k in range(10) if k not in allocator._active_pairs]
+        assert allocator.rejected_count > 0 and idle
+        ks = [idle[0] if k is None else k for k in ks]  # a valid offer first
+        count, rejected = allocator.rejected_count, allocator.rejected
+        digest = allocator.state_digest()
+        with pytest.raises(ValidationError, match="unknown stream index"):
+            allocator.offer_batch(np.array(ks, dtype=np.int64))
+        for k in ks:
+            if not 0 <= k < 10:
+                with pytest.raises(ValidationError, match="unknown stream index"):
+                    allocator.offer_indexed(k)
+        assert allocator.rejected_count == count
+        assert allocator.rejected == rejected
+        assert allocator.state_digest() == digest

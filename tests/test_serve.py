@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import random
 
 import numpy as np
 import pytest
@@ -364,6 +365,51 @@ class TestAdmissionCore:
         assert np.array_equal(before["exp_server"], after["exp_server"])
         assert np.array_equal(before["exp_user"], after["exp_user"])
         restored.close()
+
+    def test_cold_memo_restore_mid_reject_storm(self, tmp_path, instance):
+        """Restore mid-stream on an op stream of mostly repeat rejections.
+
+        The restored core's allocator starts with an empty rejection
+        memo while the uninterrupted one answers most offers from its
+        warm memo; WAL bytes, ``next_seq`` and the digest still match.
+        """
+        bare = OnlineAllocator(instance)
+        rng = random.Random(5)
+        ops, repeats = [], 0
+        for i in range(240):
+            if bare._active_pairs and rng.random() < 0.04:
+                k = rng.choice(sorted(bare._active_pairs))
+                bare.release_indexed(k)
+                ops.append(("release", k, f"r{i}"))
+                continue
+            idle = [k for k in range(instance.num_streams)
+                    if k not in bare._active_pairs]
+            k = rng.choice(idle)
+            repeats += bare._rejected.get(k) == bare._epoch  # memo hit
+            bare.offer_indexed(k)
+            ops.append(("offer", k, f"o{i}"))
+        assert repeats > len(ops) // 2
+
+        def run(core, part):
+            for op, k, key in part:
+                getattr(core, op)(k, key=key)
+
+        config = ServeConfig(snapshot_every=50)
+        warm = AdmissionCore.create(instance, tmp_path / "warm", config=config)
+        run(warm, ops)
+        cold = AdmissionCore.create(instance, tmp_path / "cold", config=config)
+        run(cold, ops[:130])
+        cold.close()  # killed: no final snapshot, the WAL tail is replayed
+        cold = AdmissionCore.restore(tmp_path / "cold")
+        assert cold.restore_info["snapshot_seq"] == 100
+        assert cold.restore_info["replayed"] == 30
+        run(cold, ops[130:])
+        assert cold.next_seq == warm.next_seq == len(ops)
+        assert cold.state_digest() == warm.state_digest() == bare.state_digest()
+        assert (tmp_path / "cold" / "wal.jsonl").read_bytes() == \
+            (tmp_path / "warm" / "wal.jsonl").read_bytes()
+        warm.close()
+        cold.close()
 
     def test_restore_checks_mu(self, tmp_path, instance):
         core = AdmissionCore.create(instance, tmp_path / "svc", mu=8.0)
