@@ -9,9 +9,11 @@ amortize on a single core):
 - **group commit** — the identical decision sequence is committed at
   batch sizes 1 (the E18 discipline), 16 and 64; every batch is one
   contiguous WAL write and **one** fsync, acknowledgements strictly
-  after the shared sync.  The batch-size scaling curve is reported, the
-  fsync counts are asserted against the histogram, and the run fails if
-  the best batched throughput is under **3×** the fsync'd baseline;
+  after the shared sync.  Every phase runs ``REPEATS`` times, each in a
+  fresh directory, interleaved across batch sizes.  The batch-size
+  scaling curve of median throughputs is reported, the fsync counts are
+  asserted against the histogram on every run, and the run fails if the
+  best batched median is under **3×** the fsync'd baseline median;
 - **restore fidelity** — the batched directory restores bit-identically
   (digest equality against the batch=1 run: same decision sequence,
   same state).
@@ -24,6 +26,7 @@ need volume to show).
 from __future__ import annotations
 
 import os
+import statistics
 import tempfile
 from pathlib import Path
 
@@ -40,8 +43,11 @@ NUM_PAIRS = 4_000 if FULL_SCALE else 500
 BATCH_SIZES = (1, 16, 64)
 #: Catalog/population of the served workload.
 NUM_STREAMS, NUM_USERS = (64, 32) if FULL_SCALE else (32, 16)
-#: CI perf floor: best batched throughput over the batch=1 baseline.
+#: CI perf floor: best batched median throughput over the batch=1 median.
 MIN_BATCH_SPEEDUP = 3.0
+#: Runs of every batch-size phase.  The floor compares medians: a single
+#: fsync'd batch=1 run swings 3.5-4.4k decisions/s on a shared 2-CPU host.
+REPEATS = 3
 #: Snapshots stay out of the measured window.
 SNAPSHOT_EVERY = 1_000_000
 
@@ -102,41 +108,60 @@ def bench_e19_shard(benchmark):
         ops = _ops()
         with tempfile.TemporaryDirectory(prefix="repro-e19-") as tmp:
             tmp = Path(tmp)
-            curve = [
-                _batched_phase(instance, tmp / f"b{batch:03d}", ops, batch)
+            # Repeat-major order, so host drift lands on every batch size.
+            runs = [
+                _batched_phase(
+                    instance, tmp / f"r{rep}-b{batch:03d}", ops, batch
+                )
+                for rep in range(REPEATS)
                 for batch in BATCH_SIZES
             ]
             # Restore fidelity of the batched directory: group commit
             # changes WAL *timing*, never WAL *content*.
-            restored = AdmissionCore.restore(tmp / f"b{BATCH_SIZES[-1]:03d}")
-            batched_restore_ok = restored.state_digest() == curve[-1]["digest"]
+            restored = AdmissionCore.restore(
+                tmp / f"r{REPEATS - 1}-b{BATCH_SIZES[-1]:03d}"
+            )
+            batched_restore_ok = restored.state_digest() == runs[-1]["digest"]
             restored.close()
-        return {"curve": curve, "batched_restore_ok": batched_restore_ok}
+        return {"runs": runs, "batched_restore_ok": batched_restore_ok}
 
     data = run_once(benchmark, experiment)
-    curve = data["curve"]
-    baseline = curve[0]
-    best = max(curve[1:], key=lambda r: r["throughput"])
+    runs = data["runs"]
 
     # Same decision sequence ⇒ bit-identical state at every batch size.
-    assert all(r["digest"] == baseline["digest"] for r in curve), (
+    assert all(r["digest"] == runs[0]["digest"] for r in runs), (
         "group commit changed the decision state"
     )
-    assert all(r["records"] == baseline["records"] for r in curve)
+    assert all(r["records"] == runs[0]["records"] for r in runs)
     assert data["batched_restore_ok"], "batched directory restored differently"
     # One fsync per decision at batch=1; one per batch afterwards.
-    assert baseline["fsyncs"] == baseline["records"]
-    for r in curve[1:]:
+    for r in runs:
         ceiling = -(-r["records"] // r["batch"])  # ceil division
+        if r["batch"] == 1:
+            assert r["fsyncs"] == r["records"]
         assert r["fsyncs"] <= ceiling, (
             f"batch={r['batch']} issued {r['fsyncs']} fsyncs for "
             f"{r['records']} records (expected <= {ceiling})"
         )
 
+    curve = []
+    for batch in BATCH_SIZES:
+        mine = [r for r in runs if r["batch"] == batch]
+        curve.append({
+            "batch": batch,
+            "records": mine[0]["records"],
+            "fsyncs": mine[0]["fsyncs"],
+            "elapsed": statistics.median(r["elapsed"] for r in mine),
+            "throughput": statistics.median(r["throughput"] for r in mine),
+            "throughputs": [r["throughput"] for r in mine],
+        })
+    baseline = curve[0]
+    best = max(curve[1:], key=lambda r: r["throughput"])
+
     speedup = best["throughput"] / max(baseline["throughput"], 1e-9)
     assert speedup >= MIN_BATCH_SPEEDUP, (
         f"group commit at batch={best['batch']} reached only "
-        f"{speedup:.2f}x the fsync'd baseline "
+        f"{speedup:.2f}x the fsync'd baseline in median "
         f"({best['throughput']:,.0f}/s vs {baseline['throughput']:,.0f}/s); "
         f"the floor is {MIN_BATCH_SPEEDUP}x"
     )
@@ -144,23 +169,24 @@ def bench_e19_shard(benchmark):
     rows = [
         [f"batch={r['batch']}", f"{r['records']:,}", f"{r['fsyncs']:,}",
          f"{r['throughput']:,.0f}/s",
+         f"{min(r['throughputs']):,.0f}-{max(r['throughputs']):,.0f}/s",
          f"{r['throughput'] / baseline['throughput']:.2f}x"]
         for r in curve
     ]
     stage_section(
         "E19",
         f"Group commit: {baseline['records']:,} fsync'd decisions, "
-        f"batch curve {list(BATCH_SIZES)}",
+        f"batch curve {list(BATCH_SIZES)}, median of {REPEATS} runs",
         "The E18 service commits one WAL fsync per decision; E19 drains "
         "batches through one contiguous write + one shared fsync "
         "(acknowledgements strictly after the sync).  Digests are "
         "asserted bit-identical across every batch size and across "
         "restore.",
-        ["configuration", "records", "fsyncs", "throughput",
-         "vs batch=1"],
+        ["configuration", "records", "fsyncs", "median throughput",
+         "range", "vs batch=1"],
         rows,
-        notes=f"Perf floor (CI-gated): best batched throughput >= "
-        f"{MIN_BATCH_SPEEDUP}x the batch=1 baseline — measured "
+        notes=f"Perf floor (CI-gated): best batched median throughput >= "
+        f"{MIN_BATCH_SPEEDUP}x the batch=1 median — measured "
         f"{speedup:.2f}x at batch={best['batch']} on this run.  The "
         "chaos suite (tests/test_serve_chaos.py) covers kill-mid-batch "
         "prefix durability.",
@@ -169,9 +195,11 @@ def bench_e19_shard(benchmark):
         "E19",
         {
             "scale": "full" if FULL_SCALE else "small",
+            "repeats": REPEATS,
             "curve": [
                 {k: r[k] for k in
-                 ("batch", "records", "fsyncs", "elapsed", "throughput")}
+                 ("batch", "records", "fsyncs", "elapsed", "throughput",
+                  "throughputs")}
                 for r in curve
             ],
             "best_batch": best["batch"],

@@ -19,7 +19,6 @@ EXPECTED_ARTIFACTS = (
     "BENCH_E17.json",  # out-of-core trace store
     "BENCH_E18.json",  # admission service over HTTP
     "BENCH_E19.json",  # group-commit batching
-    "BENCH_E20.json",  # distributed sweep transports
 )
 
 HEADER = """\

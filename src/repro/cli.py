@@ -538,14 +538,11 @@ def _write_run_outputs(run, args: argparse.Namespace) -> None:
 def _stream_experiment(spec, shard, args: argparse.Namespace):
     """Run a spec, streaming rows to --output as units complete.
 
-    ``--emit aggregate`` (the default) streams deterministic rows
-    (runtimes and provenance stripped, sorted keys) — units arrive in
-    index order, so the streamed text is byte-identical to the closing
-    :meth:`ExperimentRun.to_jsonl` aggregate, and ``repro sweep ... |
-    head`` sees output while the grid is still running.  ``--emit
-    checkpoint`` streams the *full* checkpoint rows instead — the
-    worker protocol of the subprocess/ssh transports, whose parent
-    reassembles exactly these lines.  Returns the aggregated
+    Rows are streamed deterministic (runtimes and provenance stripped,
+    sorted keys) — units arrive in index order, so the streamed text is
+    byte-identical to the closing :meth:`ExperimentRun.to_jsonl`
+    aggregate, and ``repro sweep ... | head`` sees output while the
+    grid is still running.  Returns the aggregated
     :class:`ExperimentRun` (for the `.npz` and the summary).
     """
     import itertools
@@ -562,10 +559,7 @@ def _stream_experiment(spec, shard, args: argparse.Namespace):
         workers=args.workers,
         checkpoint=args.checkpoint,
         resume=args.resume,
-        transport=getattr(args, "remote", None),
-        hosts=getattr(args, "hosts", None),
     )
-    full_rows = getattr(args, "emit", "aggregate") == "checkpoint"
     # Pull the first row before opening --output: the runner's up-front
     # refusals (e.g. an existing checkpoint without --resume) must not
     # truncate a previous run's output file.
@@ -575,8 +569,7 @@ def _stream_experiment(spec, shard, args: argparse.Namespace):
     try:
         for row in itertools.chain(head, results):
             rows.append(row)
-            kept = row if full_rows else strip_row(row)
-            out.write(json.dumps(kept, sort_keys=True))
+            out.write(json.dumps(strip_row(row), sort_keys=True))
             out.write("\n")
             out.flush()
     finally:
@@ -600,8 +593,6 @@ def _run_adaptive_cli(spec, args: argparse.Namespace) -> int:
         workers=args.workers,
         checkpoint=args.checkpoint,
         resume=args.resume,
-        transport=getattr(args, "remote", None),
-        hosts=getattr(args, "hosts", None),
     )
     if args.output and args.output != "-":
         adaptive.to_jsonl(args.output)
@@ -652,19 +643,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     try:
-        if args.spec == "-":
-            # The distributed worker protocol: the parent transport
-            # pipes the spec's canonical JSON to our stdin, so worker
-            # and parent hash (and number) the identical grid.
-            from repro.experiments.spec import spec_from_dict
-
-            try:
-                data = json.loads(sys.stdin.read())
-            except json.JSONDecodeError as exc:
-                raise SpecError(f"stdin spec: invalid JSON: {exc}") from None
-            spec = spec_from_dict(data, name=str(data.get("name", "stdin")))
-        else:
-            spec = resolve_spec(args.spec)
+        spec = resolve_spec(args.spec)
         shard = _parse_shard(args.shard)
     except SpecError as exc:
         print(f"bad spec: {exc}", file=sys.stderr)
@@ -678,7 +657,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         _write_run_outputs(run, args)
         print(_sweep_summary(run, None, "sweep --merge").render(), file=sys.stderr)
         return 0
-    _graceful_runner_signals()
+    graceful_runner_signals()
     try:
         if args.rounds > 1:
             return _run_adaptive_cli(spec, args)
@@ -728,7 +707,7 @@ def cmd_simulate_many(args: argparse.Namespace) -> int:
     except SpecError as exc:
         print(f"bad spec: {exc}", file=sys.stderr)
         return 2
-    _graceful_runner_signals()
+    graceful_runner_signals()
     try:
         if args.rounds > 1:
             return _run_adaptive_cli(spec, args)
@@ -859,18 +838,24 @@ def cmd_serve_restore(args: argparse.Namespace) -> int:
     return 0
 
 
-def _graceful_runner_signals() -> None:
+def graceful_runner_signals() -> None:
     """Make SIGTERM interrupt a runner exactly like Ctrl-C (SIGINT).
 
-    One shared implementation
-    (:func:`repro.experiments.transport.base.graceful_runner_signals`)
-    covers direct CLI runs *and* the worker processes the
-    subprocess/ssh transports spawn — a terminated worker flushes its
-    checkpoint and exits 130 through exactly this path.
+    The runner's checkpoint discipline (append + flush per completed
+    unit) means an interrupted sweep loses at most the in-flight unit;
+    translating SIGTERM into :class:`KeyboardInterrupt` lets the
+    command funnel both signals into one flush-and-exit-130 path.
     """
-    from repro.experiments.transport.base import graceful_runner_signals
+    import signal
 
-    graceful_runner_signals()
+    def _interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    try:
+        signal.signal(signal.SIGTERM, _interrupt)
+    except (ValueError, OSError):
+        # Not the main thread (embedded use): signals stay untouched.
+        pass
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1038,16 +1023,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub_parser.add_argument("--npz", default=None,
                                 help="also write columnar .npz (objective, "
                                 "runtime, Jain fairness per unit)")
-        sub_parser.add_argument("--remote", default=None, metavar="TRANSPORT",
-                                help="execution transport: local, subprocess "
-                                "(--workers processes streaming rows over "
-                                "pipes), or ssh (one worker per --hosts "
-                                "entry); default $REPRO_SWEEP_TRANSPORT, "
-                                "then local — aggregates are byte-identical "
-                                "either way")
-        sub_parser.add_argument("--hosts", default=None, metavar="A,B,C",
-                                help="ssh transport worker hosts "
-                                "(default $REPRO_SWEEP_HOSTS)")
         sub_parser.add_argument("--rounds", type=int, default=1,
                                 help="adaptive refinement rounds (1 = plain "
                                 "sweep; each round subdivides the top "
@@ -1056,11 +1031,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 metavar="K",
                                 help="grid cells refined per adaptive round "
                                 "(scored by the spec's refine_metric)")
-        sub_parser.add_argument("--emit", choices=("aggregate", "checkpoint"),
-                                default="aggregate",
-                                help="what --output streams: deterministic "
-                                "aggregate rows, or full checkpoint rows "
-                                "(the distributed worker protocol)")
 
     sweep = sub.add_parser(
         "sweep",

@@ -287,62 +287,6 @@ def resolve_commit_linger_ms(value: "float | None" = None) -> float:
     return linger
 
 
-#: Sweep execution transports (how `repro sweep` fans units out):
-#: ``local`` runs the in-process/pool mapper, ``subprocess`` forks N
-#: worker processes on this machine, ``ssh`` runs the same worker
-#: protocol on remote hosts.
-SWEEP_TRANSPORTS = ("local", "subprocess", "ssh")
-
-#: Environment variable naming the sweep transport when ``--remote`` is
-#: not passed explicitly.
-SWEEP_TRANSPORT_ENV = "REPRO_SWEEP_TRANSPORT"
-
-#: Environment variable naming the ssh transport's comma-separated host
-#: list when ``--hosts`` is not passed explicitly.
-SWEEP_HOSTS_ENV = "REPRO_SWEEP_HOSTS"
-
-
-def resolve_sweep_transport(value: "str | None" = None) -> str:
-    """Resolve the sweep execution transport.
-
-    Precedence: explicit ``value`` > ``$REPRO_SWEEP_TRANSPORT`` >
-    ``"local"``.  Anything outside :data:`SWEEP_TRANSPORTS` — including
-    junk smuggled in through the environment variable — raises
-    :class:`~repro.exceptions.ValidationError` loudly.
-    """
-    raw = value
-    if raw is None:
-        raw = os.environ.get(SWEEP_TRANSPORT_ENV, "local")
-    if raw not in SWEEP_TRANSPORTS:
-        raise ValidationError(
-            f"unknown sweep transport {raw!r}; pick one of {SWEEP_TRANSPORTS}"
-        )
-    return raw
-
-
-def resolve_sweep_hosts(value: "str | None" = None) -> "tuple[str, ...]":
-    """Resolve the ssh transport's worker host list.
-
-    Precedence: explicit ``value`` > ``$REPRO_SWEEP_HOSTS`` > empty.
-    The value is a comma-separated host list (``"a,b,c"``); blank
-    entries — a trailing comma, doubled commas — are junk and raise
-    :class:`~repro.exceptions.ValidationError` loudly rather than
-    silently dispatching to an empty hostname.
-    """
-    raw = value
-    if raw is None:
-        raw = os.environ.get(SWEEP_HOSTS_ENV)
-        if raw is None:
-            return ()
-    hosts = tuple(h.strip() for h in str(raw).split(","))
-    if any(not h for h in hosts):
-        raise ValidationError(
-            f"bad sweep host list {raw!r}; need comma-separated non-empty "
-            "host names"
-        )
-    return hosts
-
-
 def resolve_engine_setting(
     kind: str, value: "str | None" = None, default: "str | None" = None
 ) -> str:

@@ -14,23 +14,22 @@ pipeline:
 - :mod:`repro.experiments.checkpoint` — the per-unit JSONL append
   discipline: exclusive lockfile, torn-tail repair, spec-hash
   provenance;
-- :mod:`repro.experiments.transport` — pluggable execution backends
-  (``local`` pool, ``subprocess`` workers, ``ssh`` hosts), all
-  streaming rows back in unit order;
+- :mod:`repro.experiments.transport.local` — ``run_units``, the one
+  sweep executor, streaming rows back in unit order;
 - :mod:`repro.experiments.runner` — :func:`run_experiment`: sharded
   (``shard=(i, n)``), pooled (``workers=N``), resumable (per-unit JSONL
-  checkpoints), distributable (``transport=...``) execution with
-  columnar aggregation (:class:`ExperimentRun`);
+  checkpoints) execution with columnar aggregation
+  (:class:`ExperimentRun`);
 - :mod:`repro.experiments.adaptive` — :func:`run_adaptive`,
   round-based grid refinement (score cells, subdivide the top-k) on
-  top of the same checkpoint/transport stack;
+  top of the same checkpoint stack;
 - :mod:`repro.experiments.pipeline` — :func:`map_ordered`, the
   ordered bounded-in-flight mapper that `solve_many`,
-  `compare_policies` and the local transport all share.
+  `compare_policies` and the sweep executor all share.
 
-CLI: ``repro sweep <spec> [--shard i/n --workers N --resume --remote
-{local,subprocess,ssh} --rounds R --refine-top K]`` and
-``repro simulate-many``.
+CLI: ``repro sweep <spec> [--shard i/n --workers N --resume --rounds R
+--refine-top K]``, ``repro sweep <spec> --merge CKPT...`` (joins the
+shard checkpoints of a cross-machine sweep) and ``repro simulate-many``.
 
 >>> from repro.experiments import ScenarioSpec, run_experiment
 >>> spec = ScenarioSpec(kind="solve", family="sweep", name="tiny",
@@ -49,7 +48,6 @@ from repro.experiments.runner import (
     read_checkpoint,
     run_experiment,
 )
-from repro.experiments.transport import Transport, get_transport
 from repro.experiments.spec import (
     ScenarioSpec,
     SpecError,
@@ -71,8 +69,6 @@ __all__ = [
     "map_ordered",
     "AdaptiveRun",
     "ExperimentRun",
-    "Transport",
-    "get_transport",
     "iter_experiment",
     "merge_checkpoints",
     "read_checkpoint",

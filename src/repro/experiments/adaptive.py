@@ -3,9 +3,9 @@
 :func:`run_adaptive` runs a spec's grid coarsely, scores each cell by
 the spec's refinement metric (``refine_metric``, defaulting to the
 kind's headline objective), and subdivides the axis neighborhoods of
-the top-``k`` cells into the next round's grid — re-dispatching each
-round through any transport.  The procedure is a pure function of
-``(spec, rounds, top_k)``:
+the top-``k`` cells into the next round's grid — running each round
+through :func:`~repro.experiments.runner.run_experiment`.  The
+procedure is a pure function of ``(spec, rounds, top_k)``:
 
 - per-unit seeds derive from ``(base_seed, index)`` of each round's
   grid, never from RNG state carried between rounds;
@@ -67,8 +67,8 @@ class AdaptiveRun:
     def to_jsonl(self, path: "str | Path | None" = None) -> str:
         """Deterministic aggregate: the rounds' JSONL, concatenated.
 
-        Byte-identical across reruns and across transports, including
-        a run killed mid-round and resumed — the adaptive acceptance
+        Byte-identical across reruns and pool widths, including a run
+        killed mid-round and resumed — the adaptive acceptance
         contract.  Returns the text; writes it when ``path`` is given.
         """
         text = "".join(run.to_jsonl() for run in self.rounds)
@@ -158,8 +158,6 @@ def run_adaptive(
     workers: int = 1,
     checkpoint: "str | Path | None" = None,
     resume: bool = False,
-    transport: "str | None" = None,
-    hosts=None,
 ) -> AdaptiveRun:
     """Run an adaptive (coarse → refined) sweep; see module docstring.
 
@@ -173,7 +171,7 @@ def run_adaptive(
     top_k:
         Cells kept per round (highest mean ``refine_metric``; ties
         break on cell coordinates).
-    workers / checkpoint / resume / transport / hosts:
+    workers / checkpoint / resume:
         Exactly as :func:`repro.experiments.runner.run_experiment`;
         round ``r`` checkpoints to ``<checkpoint>.round<r>``.
     """
@@ -201,8 +199,6 @@ def run_adaptive(
             workers=workers,
             checkpoint=round_checkpoint,
             resume=resume,
-            transport=transport,
-            hosts=hosts,
         )
         result.rounds.append(run)
         if round_index == rounds - 1:

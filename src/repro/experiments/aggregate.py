@@ -3,8 +3,8 @@
 The top of the experiment stack.  :class:`ExperimentRun` holds one
 run's rows sorted by unit index and writes the columnar outputs: a
 deterministic JSONL (runtimes and provenance stripped, keys sorted —
-shard unions and every transport's output are byte-identical to an
-unsharded local run) and an ``.npz`` of per-unit objective, runtime and
+shard unions and pooled runs are byte-identical to an unsharded
+in-process run) and an ``.npz`` of per-unit objective, runtime and
 Jain fairness arrays.  :func:`merge_checkpoints` unions shard
 checkpoint files back into one full-grid run, refusing loudly when the
 union and the spec's grid disagree — missing units, unknown unit
@@ -89,9 +89,9 @@ class ExperimentRun:
     def to_jsonl(self, path: "str | Path | None" = None) -> str:
         """Deterministic aggregate JSONL (runtimes stripped, keys sorted).
 
-        Two shard runs merged, an unsharded run, and any transport's run
-        of the same spec produce byte-identical text here — the
-        acceptance contract of distributed sweeps.  Returns the text;
+        Two shard runs merged, an unsharded run, and a pooled run of
+        the same spec produce byte-identical text here — the
+        acceptance contract of cross-machine sweeps.  Returns the text;
         writes it when ``path`` is given.
         """
         lines = [row_text(strip_row(row)) for row in self.rows]

@@ -10,7 +10,7 @@ Two rules keep the format trustworthy:
 
 - **single writer** — every open-for-append acquires an exclusive
   sibling lockfile (``<checkpoint>.lock`` holding the writer's pid and
-  host).  A second writer — e.g. two transports pointed at one file —
+  host).  A second writer — e.g. two runners pointed at one file —
   is refused loudly instead of interleaving JSONL rows; a *stale* lock
   left behind by a SIGKILLed run (its pid no longer alive on this
   host) is taken over silently, so crash-resume keeps working.
@@ -20,7 +20,7 @@ Two rules keep the format trustworthy:
 
 :class:`CheckpointWriter` packages the whole append side — refusal
 without ``resume``, torn-tail repair, lock acquisition, per-row flush —
-so the runner and every transport share one implementation.
+so every runner shares one implementation.
 """
 
 from __future__ import annotations

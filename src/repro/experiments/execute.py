@@ -1,9 +1,10 @@
 """Work-unit execution: one spec unit in, one checkpoint row out.
 
 This module is the bottom of the experiment stack — pure computation
-with no knowledge of pools, checkpoints, or transports.  Its public
-face is :func:`execute_item`, the function every transport's worker
-maps over ``(spec, unit, cached_row)`` triples.
+with no knowledge of pools or checkpoints.  Its public face is
+:func:`execute_item`, the function the sweep executor
+(:func:`repro.experiments.transport.local.run_units`) maps over
+``(spec, unit, cached_row)`` triples.
 
 Execution delegates to the same front doors everything else uses —
 :func:`repro.core.solver.solve_mmd` for solve specs,

@@ -1,25 +1,25 @@
 """Sharded, resumable execution of scenario specs (the composition layer).
 
-The runner used to be a monolith; it is now the thin seam where four
-separately-testable layers meet, each owning one concern:
+The runner is the thin seam where four separately-testable layers
+meet, each owning one concern:
 
 - :mod:`repro.experiments.execute` — one work unit in, one row out;
 - :mod:`repro.experiments.checkpoint` — the per-unit JSONL append
   discipline, its exclusive lockfile, torn-tail repair, and the
   spec-hash provenance check;
-- :mod:`repro.experiments.transport` — *where* units run: in this
-  process (``local``), across worker processes (``subprocess``), or
-  across hosts (``ssh``), all streaming rows back in unit order;
+- :mod:`repro.experiments.transport.local` — :func:`run_units`, the one
+  executor: ``map_ordered(execute_item, ...)`` over the (sharded)
+  expansion, in-process or over a process pool, rows in unit order;
 - :mod:`repro.experiments.aggregate` — :class:`ExperimentRun` and the
   deterministic artifacts (JSONL with runtimes/provenance stripped,
   ``.npz`` columns), plus shard-checkpoint merging.
 
-:func:`iter_experiment` composes them: resolve the spec and transport,
-open the checkpoint writer, stream the transport's ``(was_cached,
-row)`` pairs, append fresh rows (stamped with the spec hash) as they
-complete, yield every row in unit order.  Because all transports
-converge on this one path, any transport's aggregate is byte-identical
-to a local run — the distributed-sweep acceptance contract.
+:func:`iter_experiment` composes them: resolve the spec, open the
+checkpoint writer, stream the executor's ``(was_cached, row)`` pairs,
+append fresh rows (stamped with the spec hash) as they complete, yield
+every row in unit order.  Cross-machine sweeps need nothing more: run
+one ``shard=(i, n)`` per machine and merge the checkpoints — the union
+is byte-identical to an unsharded run.
 
 The historical names (``read_checkpoint``, ``ExperimentRun``,
 ``merge_checkpoints``, ``NONDETERMINISTIC_FIELDS``) are re-exported
@@ -31,7 +31,6 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterator
 
-from repro.exceptions import ValidationError
 from repro.experiments.aggregate import (  # noqa: F401  (re-exports)
     NONDETERMINISTIC_FIELDS,
     PROVENANCE_FIELDS,
@@ -53,7 +52,7 @@ from repro.experiments.execute import (  # noqa: F401  (re-exports)
     execute_item as _execute_item,
 )
 from repro.experiments.spec import ScenarioSpec, resolve_spec
-from repro.experiments.transport import get_transport
+from repro.experiments.transport.local import run_units
 
 __all__ = [
     "NONDETERMINISTIC_FIELDS",
@@ -66,15 +65,6 @@ __all__ = [
 ]
 
 
-def _resolve_hosts(hosts) -> "tuple[str, ...]":
-    """Normalize a host argument (sequence, comma string, or None)."""
-    from repro.config import resolve_sweep_hosts
-
-    if isinstance(hosts, (list, tuple)):
-        return resolve_sweep_hosts(",".join(hosts)) if hosts else ()
-    return resolve_sweep_hosts(hosts)
-
-
 def iter_experiment(
     spec: "ScenarioSpec | str | Path",
     *,
@@ -82,8 +72,6 @@ def iter_experiment(
     workers: int = 1,
     checkpoint: "str | Path | None" = None,
     resume: bool = False,
-    transport: "str | None" = None,
-    hosts=None,
 ) -> "Iterator[dict[str, object]]":
     """Stream one run's result rows in unit order (the runner's core).
 
@@ -95,26 +83,12 @@ def iter_experiment(
     requires ``resume=True``), never shared between two live writers
     (the sibling lockfile refuses loudly), and never mixed across specs
     (every appended row carries the spec's content hash).
-
-    ``transport`` picks where units execute (``"local"`` /
-    ``"subprocess"`` / ``"ssh"``; default resolved via
-    :func:`repro.config.resolve_sweep_transport`) — the rows, their
-    order, and the checkpoint discipline are identical regardless.
     """
     spec = resolve_spec(spec)
-    from repro.config import resolve_sweep_transport
-
-    transport_name = resolve_sweep_transport(transport)
-    if transport_name != "local" and spec.input == "-":
-        raise ValidationError(
-            "a stdin-backed jsonl spec cannot be distributed (its units "
-            "exist only in this process's stdin); use --remote local"
-        )
-    backend = get_transport(transport_name, hosts=_resolve_hosts(hosts))
     spec_hash = spec.spec_hash()
     writer = CheckpointWriter(checkpoint, resume=resume, spec_hash=spec_hash)
     try:
-        rows = backend.run(spec, shard=shard, workers=workers, done=writer.done)
+        rows = run_units(spec, shard=shard, workers=workers, done=writer.done)
         for was_cached, row in rows:
             row.setdefault("spec_hash", spec_hash)
             if not was_cached:
@@ -131,8 +105,6 @@ def run_experiment(
     workers: int = 1,
     checkpoint: "str | Path | None" = None,
     resume: bool = False,
-    transport: "str | None" = None,
-    hosts=None,
 ) -> ExperimentRun:
     """Run a scenario spec (one shard of it) to completion and aggregate.
 
@@ -143,21 +115,13 @@ def run_experiment(
         path, or a builtin spec name.
     shard:
         ``(i, n)`` to run only units with ``index % n == i``;
-        per-unit seeds and results are unchanged by sharding.  Only the
-        local transport accepts a shard — the others own sharding.
+        per-unit seeds and results are unchanged by sharding.
     workers:
-        Pool width: pool processes (local) or worker processes
-        (subprocess); the ssh transport runs one worker per host.
+        Pool width (``1`` = in-process).
     checkpoint:
         JSONL path; every completed unit is appended as it finishes.
     resume:
         Re-read ``checkpoint`` first and skip completed units.
-    transport:
-        Execution transport (``None`` = resolve via
-        :func:`repro.config.resolve_sweep_transport`).
-    hosts:
-        ssh worker hosts (sequence or comma string; ``None`` = resolve
-        via :func:`repro.config.resolve_sweep_hosts`).
 
     Returns the :class:`ExperimentRun` with rows sorted by unit index.
     """
@@ -169,8 +133,6 @@ def run_experiment(
             workers=workers,
             checkpoint=checkpoint,
             resume=resume,
-            transport=transport,
-            hosts=hosts,
         )
     )
     rows.sort(key=lambda r: int(r["unit"]))

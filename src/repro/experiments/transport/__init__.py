@@ -1,49 +1,1 @@
-"""Pluggable sweep execution transports (see :mod:`.base`).
-
-:func:`get_transport` is the registry front door the runner uses:
-
->>> from repro.experiments.transport import get_transport
->>> get_transport("local").name
-'local'
->>> get_transport("subprocess").name
-'subprocess'
-"""
-
-from __future__ import annotations
-
-from repro.exceptions import ValidationError
-from repro.experiments.transport.base import Transport, graceful_runner_signals
-from repro.experiments.transport.local import LocalTransport
-from repro.experiments.transport.ssh import SshTransport
-from repro.experiments.transport.subproc import SubprocessTransport
-
-__all__ = [
-    "LocalTransport",
-    "SshTransport",
-    "SubprocessTransport",
-    "Transport",
-    "get_transport",
-    "graceful_runner_signals",
-]
-
-
-def get_transport(
-    name: str, *, hosts: "tuple[str, ...] | None" = None
-) -> Transport:
-    """Instantiate a transport by registry name.
-
-    ``hosts`` is required (non-empty) by ``"ssh"`` and ignored by the
-    others; an unknown name raises
-    :class:`~repro.exceptions.ValidationError` with the valid choices.
-    """
-    if name == "local":
-        return LocalTransport()
-    if name == "subprocess":
-        return SubprocessTransport()
-    if name == "ssh":
-        return SshTransport(tuple(hosts or ()))
-    from repro.config import SWEEP_TRANSPORTS
-
-    raise ValidationError(
-        f"unknown sweep transport {name!r}; pick one of {SWEEP_TRANSPORTS}"
-    )
+"""Where a sweep's units run: :func:`~.local.run_units`, the one executor."""

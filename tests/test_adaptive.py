@@ -2,15 +2,12 @@
 
 The adaptive sweep's contract is that the whole multi-round procedure
 is a pure function of ``(spec, rounds, top_k)``: running it twice —or
-killing it mid-round and resuming — produces byte-identical aggregates,
-on any transport.
+killing it mid-round and resuming — produces byte-identical aggregates.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from pathlib import Path
 
 import pytest
 
@@ -19,8 +16,6 @@ from repro.experiments import ScenarioSpec, run_adaptive
 from repro.experiments.adaptive import _midpoints, _refine_axes
 from repro.experiments.checkpoint import read_checkpoint
 from repro.experiments.spec import SpecError
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 SMOKE = ScenarioSpec(
     name="smoke", kind="solve", family="sweep",
@@ -180,16 +175,6 @@ class TestResume:
             + len(uninterrupted.rounds[2].rows)
         )
         assert len(executed) == expected_fresh  # rounds 0–1 not re-run
-
-    def test_adaptive_over_subprocess_transport(self, tmp_path, monkeypatch):
-        existing = os.environ.get("PYTHONPATH")
-        joined = str(SRC) if not existing else f"{SRC}{os.pathsep}{existing}"
-        monkeypatch.setenv("PYTHONPATH", joined)
-        local = run_adaptive(SMOKE, rounds=2, top_k=1)
-        remote = run_adaptive(
-            SMOKE, rounds=2, top_k=1, transport="subprocess", workers=2,
-        )
-        assert remote.to_jsonl() == local.to_jsonl()
 
 
 class TestCLI:

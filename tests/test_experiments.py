@@ -9,12 +9,14 @@ Covers the acceptance contracts of the subsystem:
 - the consolidated engine-setting resolver (argument > env > default,
   old env names honored);
 - index-derived per-unit seeds (``derive_seed``) shared by
-  ``sweep_instances`` and the runner.
+  ``sweep_instances`` and the runner;
+- the checkpoint's single-writer lock and spec-hash provenance.
 """
 
 from __future__ import annotations
 
 import json
+import subprocess
 import sys
 
 import pytest
@@ -34,6 +36,7 @@ from repro.experiments import (
     run_experiment,
     spec_from_dict,
 )
+from repro.experiments.checkpoint import CheckpointWriter
 from repro.instances.generators import sweep_instances
 from repro.util.rng import derive_seed
 
@@ -461,6 +464,17 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "e12-generation" in out and "e13-simulation" in out
 
+    def test_cli_remote_and_stdin_spec_exit_2(self, tmp_path, capsys):
+        # A stale script passing --remote or a stdin spec must fail
+        # loudly, not quietly run the grid locally.
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(SMOKE.to_dict()))
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", str(spec_path), "--remote", "subprocess"])
+        assert exc.value.code == 2
+        assert main(["sweep", "-"]) == 2
+        capsys.readouterr()
+
     def test_sweep_exit_codes(self, tmp_path, capsys):
         assert main(["sweep"]) == 2  # no spec
         assert main(["sweep", "no-such-spec"]) == 2  # unknown name
@@ -609,3 +623,102 @@ class TestCheckpointTornWriteFuzz:
                 return False
 
         check()
+
+
+class TestConcurrentWriters:
+    def test_second_writer_is_refused(self, tmp_path):
+        ckpt = tmp_path / "shared.jsonl"
+        first = CheckpointWriter(ckpt)
+        try:
+            with pytest.raises(ValidationError, match="already being written"):
+                CheckpointWriter(ckpt, resume=True)
+        finally:
+            first.close()
+        # Released: a new writer may now continue the file.
+        CheckpointWriter(ckpt, resume=True).close()
+
+    def test_two_runners_cannot_share_a_checkpoint(self, tmp_path):
+        from repro.experiments.runner import iter_experiment
+
+        ckpt = tmp_path / "shared.jsonl"
+        stream = iter_experiment(SMOKE, checkpoint=ckpt)
+        next(stream)  # first writer is live and holds the lock
+        try:
+            with pytest.raises(ValidationError, match="already being written"):
+                list(iter_experiment(SMOKE, checkpoint=ckpt, resume=True))
+        finally:
+            stream.close()
+        assert not (tmp_path / "shared.jsonl.lock").exists()
+
+    def test_stale_lock_is_taken_over(self, tmp_path):
+        import socket
+
+        ckpt = tmp_path / "ckpt.jsonl"
+        # A plausibly-dead pid: spawn a process and let it exit.
+        proc = subprocess.Popen([sys.executable, "-c", "pass"])
+        proc.wait()
+        (tmp_path / "ckpt.jsonl.lock").write_text(json.dumps(
+            {"pid": proc.pid, "host": socket.gethostname()}
+        ))
+        run = run_experiment(SMOKE, checkpoint=ckpt)  # no refusal
+        assert len(run.rows) == 4
+
+    def test_foreign_host_lock_is_refused(self, tmp_path):
+        ckpt = tmp_path / "ckpt.jsonl"
+        (tmp_path / "ckpt.jsonl.lock").write_text(json.dumps(
+            {"pid": 1, "host": "some-other-machine"}
+        ))
+        with pytest.raises(ValidationError, match="some-other-machine"):
+            run_experiment(SMOKE, checkpoint=ckpt)
+
+
+class TestSpecHashProvenance:
+    def test_rows_are_stamped(self, tmp_path):
+        ckpt = tmp_path / "ckpt.jsonl"
+        run_experiment(SMOKE, checkpoint=ckpt)
+        rows = read_checkpoint(ckpt)
+        assert all(r["spec_hash"] == SMOKE.spec_hash() for r in rows.values())
+
+    def test_aggregate_strips_the_stamp(self, tmp_path):
+        run = run_experiment(SMOKE)
+        assert "spec_hash" not in json.loads(run.to_jsonl().splitlines()[0])
+
+    def test_merge_reports_both_hashes_for_foreign_shards(self, tmp_path):
+        path = tmp_path / "all.jsonl"
+        run_experiment(SMOKE, checkpoint=path)  # 4 units
+        smaller = ScenarioSpec(
+            name="half", kind="solve", family="sweep",
+            streams=(6,), users=(4,), skews=(1.0, 4.0),
+            params={"density": 0.3},
+        )
+        with pytest.raises(ValidationError, match="different spec") as exc:
+            merge_checkpoints(smaller, [path])
+        message = str(exc.value)
+        assert SMOKE.spec_hash() in message
+        assert smaller.spec_hash() in message
+
+    def test_merge_detects_same_shape_different_spec(self, tmp_path):
+        # Same unit indices, different grid content: only the hash
+        # can tell these apart.
+        path = tmp_path / "all.jsonl"
+        run_experiment(SMOKE, checkpoint=path)
+        shifted = ScenarioSpec(
+            name="shifted", kind="solve", family="sweep",
+            streams=(6, 8), users=(4,), skews=(1.0, 4.0),
+            params={"density": 0.3}, base_seed=99,
+        )
+        with pytest.raises(ValidationError, match="different spec") as exc:
+            merge_checkpoints(shifted, [path])
+        assert SMOKE.spec_hash() in str(exc.value)
+        assert shifted.spec_hash() in str(exc.value)
+
+    def test_resume_refuses_foreign_spec_checkpoint(self, tmp_path):
+        ckpt = tmp_path / "ckpt.jsonl"
+        run_experiment(SMOKE, checkpoint=ckpt)
+        shifted = ScenarioSpec(
+            name="shifted", kind="solve", family="sweep",
+            streams=(6, 8), users=(4,), skews=(1.0, 4.0),
+            params={"density": 0.3}, base_seed=99,
+        )
+        with pytest.raises(ValidationError, match="different spec"):
+            run_experiment(shifted, checkpoint=ckpt, resume=True)
