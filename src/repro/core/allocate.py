@@ -67,7 +67,12 @@ import numpy as np
 
 from repro.config import DEFAULT_CHARGE_RESYNC, resolve_charge_resync
 from repro.core.assignment import Assignment
-from repro.core.indexed import index_instance, small_streams_indexed
+from repro.core.indexed import (
+    IndexedInstance,
+    ensure_indexed,
+    global_skew_indexed,
+    small_streams_indexed,
+)
 from repro.core.instance import FEASIBILITY_RTOL, MMDInstance
 from repro.exceptions import ValidationError
 
@@ -83,8 +88,10 @@ from repro.exceptions import ValidationError
 CHARGE_RESYNC_INTERVAL = DEFAULT_CHARGE_RESYNC
 
 
-def global_skew_parameters(instance: MMDInstance) -> "tuple[float, float, int]":
-    """Return ``(gamma, mu, D)`` for an instance.
+def global_skew_parameters(
+    instance: "MMDInstance | IndexedInstance",
+) -> "tuple[float, float, int]":
+    """Return ``(gamma, mu, D)`` for an instance (either representation).
 
     ``D = m_finite + Σ_u m_c_finite(u)`` counts the budgets with finite
     caps; ``gamma`` is the global skew of eq. (1) computed on the
@@ -92,21 +99,22 @@ def global_skew_parameters(instance: MMDInstance) -> "tuple[float, float, int]":
     makes Lemma 5.1 go through; Theorem 1.2 states ``+1``, which does
     not satisfy the lemma's final inequality — we use ``+2`` from §5).
     """
-    idx = index_instance(instance)
-    d = sum(1 for b in instance.budgets if not math.isinf(b))
-    d += int(np.isfinite(idx.capacities).sum())
+    idx = ensure_indexed(instance)
+    d = int(np.isfinite(idx.budgets).sum()) + int(np.isfinite(idx.capacities).sum())
     d = max(d, 1)
-    gamma = instance.global_skew()
+    gamma = global_skew_indexed(idx)
     mu = 2.0 * gamma * d + 2.0
     return gamma, mu, d
 
 
-def small_streams_condition(instance: MMDInstance, mu: "float | None" = None) -> bool:
+def small_streams_condition(
+    instance: "MMDInstance | IndexedInstance", mu: "float | None" = None
+) -> bool:
     """Check the Theorem 1.2 precondition: every stream costs at most a
     ``1/log₂ µ`` fraction of every finite budget and capacity."""
     if mu is None:
         _gamma, mu, _d = global_skew_parameters(instance)
-    return small_streams_indexed(index_instance(instance), mu)
+    return small_streams_indexed(ensure_indexed(instance), mu)
 
 
 def _drop_walk(server_charge, sorted_cw: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -148,7 +156,12 @@ class OnlineAllocator:
     Parameters
     ----------
     instance:
-        The full instance (catalog, users, budgets).
+        The full instance (catalog, users, budgets), as either
+        representation.  The allocator runs on the
+        :class:`~repro.core.indexed.IndexedInstance`; an array-native
+        one is lifted to the string-keyed model only if
+        :attr:`instance` is read (by :attr:`assignment` or a string-id
+        call naming an unknown stream).
     mu:
         Optional override of the exponential base (for experiments);
         defaults to ``2γD + 2``.
@@ -165,28 +178,27 @@ class OnlineAllocator:
 
     def __init__(
         self,
-        instance: MMDInstance,
+        instance: "MMDInstance | IndexedInstance",
         mu: "float | None" = None,
         enforce_budgets: bool = True,
         charge_resync: "int | None" = None,
     ) -> None:
-        self.instance = instance
+        idx = ensure_indexed(instance)
+        self._idx = idx
         self.enforce_budgets = enforce_budgets
         self.charge_resync = resolve_charge_resync(charge_resync)
-        self.gamma, default_mu, self.d = global_skew_parameters(instance)
+        self.gamma, default_mu, self.d = global_skew_parameters(idx)
         self.mu = default_mu if mu is None else float(mu)
         if self.mu <= 1.0:
             raise ValidationError(f"mu must exceed 1, got {self.mu}")
         self.log_mu = math.log2(self.mu)
 
-        idx = index_instance(instance)
-        self._idx = idx
         min_w = idx.min_support_utilities()  # w_min(S); inf for empty support
 
         # Per-measure normalization scales λ (cost and budget together):
         # λ_i = min over streams with c_i(S) > 0 of w_min(S) / (D · c_i(S)).
         self._server_measures: "list[int]" = [
-            i for i, b in enumerate(instance.budgets) if not math.isinf(b)
+            i for i, b in enumerate(idx.budgets.tolist()) if not math.isinf(b)
         ]
         # Scaled budgets B'_i = λ_i·B_i of the exponential costs.
         self._server_scaled_budget: dict[int, float] = {}
@@ -195,7 +207,7 @@ class OnlineAllocator:
             mask = np.isfinite(min_w) & (cost > 0)
             scale = float((min_w[mask] / (self.d * cost[mask])).min()) if mask.any() else math.inf
             scale = 1.0 if math.isinf(scale) else scale
-            self._server_scaled_budget[i] = scale * instance.budgets[i]
+            self._server_scaled_budget[i] = scale * float(idx.budgets[i])
         # Per-stream server data: which measures a stream is charged on
         # (c_i(S) > 0) and its normalized cost c_i(S)/B_i, shape (|S|, m).
         self._server_charged = idx.stream_costs > 0
@@ -270,6 +282,11 @@ class OnlineAllocator:
         self._rejected: "dict[int, int | None]" = {}
         #: Total rejections, re-offers included.
         self.rejected_count = 0
+
+    @property
+    def instance(self) -> MMDInstance:
+        """The string-keyed instance (lifted on first access if array-native)."""
+        return self._idx.lift()
 
     @property
     def rejected(self) -> "list[str]":

@@ -3,18 +3,25 @@
 This module is the bottom of the experiment stack — pure computation
 with no knowledge of pools or checkpoints.  Its public face is
 :func:`execute_item`, the function the sweep executor
-(:func:`repro.experiments.transport.local.run_units`) maps over
-``(spec, unit, cached_row)`` triples.
+(:func:`repro.experiments.transport.local.run_units`) calls once per
+``(spec, unit, cached_row)`` triple.
 
 Execution delegates to the same front doors everything else uses —
 :func:`repro.core.solver.solve_mmd` for solve specs,
 :func:`repro.sim.simulation.simulate_trace` for simulation specs (one
 policy per unit, replaying a per-cell trace drawn from the cell's seed
 exactly as :func:`~repro.sim.simulation.compare_policies` draws it) —
-so a spec run and a hand-rolled loop produce identical numbers.  In
-pooled runs each worker process rebuilds a cell's workload/trace on
-first touch (the one-slot cell cache is per process) — the price of
-units being self-contained enough to ship to another machine.
+so a spec run and a hand-rolled loop produce identical numbers.  A
+simulation cell's workload is built index-native
+(:func:`~repro.instances.workloads.iptv_neighborhood_indexed` and its
+siblings: arrays equal to lowering the dict scenario builders' output,
+no per-user objects), and the indexed replay engines run on it without
+ever lifting it to the string-keyed model.  Units expand cell-major, and a
+pooled sweep executor hands each cell's adjacent units (equal
+:func:`cell_key`) to one worker
+(:func:`repro.experiments.transport.local.run_units`), so the one-slot
+cell cache below builds each cell once per run, pooled or not (once per
+shard when a sharded grid splits a cell's policies between shards).
 """
 
 from __future__ import annotations
@@ -131,17 +138,21 @@ def _execute_solve_unit(spec: ScenarioSpec, unit: WorkUnit) -> "dict[str, object
 
 #: ``kind="simulate"`` workload factories (sizes positional, seed kwarg).
 def _sim_workloads():
-    """Name → factory map for the simulation workloads (lazy import)."""
+    """Name → index-native factory map for the simulation workloads.
+
+    Each factory returns the :class:`~repro.core.indexed.IndexedInstance`
+    of the same-named dict scenario builder (lazy import).
+    """
     from repro.instances.workloads import (
-        cable_headend_workload,
-        iptv_neighborhood_workload,
-        small_streams_workload,
+        cable_headend_indexed,
+        iptv_neighborhood_indexed,
+        small_streams_indexed_workload,
     )
 
     return {
-        "iptv": iptv_neighborhood_workload,
-        "cable-headend": cable_headend_workload,
-        "small-streams": small_streams_workload,
+        "iptv": iptv_neighborhood_indexed,
+        "cable-headend": cable_headend_indexed,
+        "small-streams": small_streams_indexed_workload,
     }
 
 
@@ -164,12 +175,31 @@ def _sim_policy(name: str, seed: int):
 
 
 #: One-slot cache of the last simulation cell's (instance, trace).
-#: Units expand cell-major — every policy of a cell is adjacent — so a
-#: multi-policy spec builds each workload and draws each trace once per
-#: cell instead of once per unit (matching what the pre-runner
-#: ``compare_policies`` loop did), while sharded/pooled executions that
-#: interleave cells merely miss the cache and rebuild.
+#: Keyed by :func:`cell_key`.  Units expand cell-major — every policy
+#: of a cell is adjacent — and a pooled executor keeps a cell's units
+#: on one worker, so a multi-policy
+#: spec builds each workload and draws each trace once per cell instead
+#: of once per unit (matching what the pre-runner ``compare_policies``
+#: loop did).
 _SIM_CELL_CACHE: "dict[tuple, tuple]" = {}
+
+
+def cell_key(spec: ScenarioSpec, unit: WorkUnit) -> tuple:
+    """Units with equal keys share one cell's workload and trace.
+
+    A simulation cell's units differ only in their policy; any other
+    unit is a cell of its own.  The one-slot cell cache is keyed by it,
+    and the pooled sweep executor groups a cell's adjacent units by it.
+    """
+    if spec.kind != "simulate":
+        return (unit.index,)
+    from repro.sim.indexed import resolve_sim_engine
+
+    return (
+        spec.family, unit.num_streams, unit.num_users, unit.seed,
+        spec.horizon, spec.rate, spec.duration, spec.popularity,
+        resolve_sim_engine(spec.sim_engine), spec.trace_store,
+    )
 
 
 def _sim_cell(spec: ScenarioSpec, unit: WorkUnit):
@@ -187,11 +217,7 @@ def _sim_cell(spec: ScenarioSpec, unit: WorkUnit):
     from repro.sim.simulation import ArrivalModel, draw_trace
 
     engine = resolve_sim_engine(spec.sim_engine)
-    key = (
-        spec.family, unit.num_streams, unit.num_users, unit.seed,
-        spec.horizon, spec.rate, spec.duration, spec.popularity, engine,
-        spec.trace_store,
-    )
+    key = cell_key(spec, unit)
     cached = _SIM_CELL_CACHE.get(key)
     if cached is not None:
         return cached

@@ -8,8 +8,9 @@ meet, each owning one concern:
   discipline, its exclusive lockfile, torn-tail repair, and the
   spec-hash provenance check;
 - :mod:`repro.experiments.transport.local` — :func:`run_units`, the one
-  executor: ``map_ordered(execute_item, ...)`` over the (sharded)
-  expansion, in-process or over a process pool, rows in unit order;
+  executor: ``map_ordered(execute_cell, ...)`` over the (sharded)
+  expansion, one unit per item in-process or one cell per item over a
+  process pool, rows in unit order;
 - :mod:`repro.experiments.aggregate` — :class:`ExperimentRun` and the
   deterministic artifacts (JSONL with runtimes/provenance stripped,
   ``.npz`` columns), plus shard-checkpoint merging.
@@ -78,7 +79,10 @@ def iter_experiment(
     Rows of units already present in the checkpoint (``resume=True``)
     are yielded from the file without re-execution; freshly executed
     rows are appended to the checkpoint (and flushed) the moment they
-    complete, so a killed run loses at most the row being written.  A
+    complete, so a killed run loses at most the row being written.  On
+    a pool (``workers > 1``) a simulation cell's rows complete together,
+    when its last policy does, so a killed pooled run also loses the
+    finished policies of the cells in flight.  A
     non-empty checkpoint is never silently overwritten (continuing one
     requires ``resume=True``), never shared between two live writers
     (the sibling lockfile refuses loudly), and never mixed across specs

@@ -13,7 +13,9 @@
 - :mod:`repro.instances.population` — synthetic user populations with
   Zipf channel preferences.
 - :mod:`repro.instances.workloads` — named end-to-end scenarios
-  combining a catalog and a population into an MMD instance.
+  combining a catalog and a population into an MMD instance, each with
+  an index-native twin that builds the same instance straight into an
+  :class:`~repro.core.indexed.IndexedInstance`.
 """
 
 from repro.instances.catalog import CatalogConfig, build_catalog
@@ -27,7 +29,11 @@ from repro.instances.generators import (
     sweep_instances,
     tightness_instance,
 )
-from repro.instances.population import PopulationConfig, build_population
+from repro.instances.population import (
+    PopulationConfig,
+    build_population,
+    draw_population_arrays,
+)
 from repro.instances.vectorized import (
     generate_mmd,
     generate_small_streams_mmd,
@@ -37,8 +43,11 @@ from repro.instances.vectorized import (
     sweep_indexed_instances,
 )
 from repro.instances.workloads import (
+    cable_headend_indexed,
     cable_headend_workload,
+    iptv_neighborhood_indexed,
     iptv_neighborhood_workload,
+    small_streams_indexed_workload,
     small_streams_workload,
 )
 
@@ -61,7 +70,11 @@ __all__ = [
     "resolve_gen_engine",
     "PopulationConfig",
     "build_population",
+    "draw_population_arrays",
     "cable_headend_workload",
     "iptv_neighborhood_workload",
     "small_streams_workload",
+    "cable_headend_indexed",
+    "iptv_neighborhood_indexed",
+    "small_streams_indexed_workload",
 ]

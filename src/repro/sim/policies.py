@@ -392,7 +392,12 @@ class AllocatePolicy(AdmissionPolicy):
         self.name = "allocate"
 
     def bind(self, instance: MMDInstance) -> None:
-        self._allocator = OnlineAllocator(instance, mu=self._mu, enforce_budgets=True)
+        self.bind_indexed(index_instance(instance))
+
+    def bind_indexed(self, idx: IndexedInstance) -> None:
+        # The allocator runs on the arrays: binding an array-native
+        # instance builds no string-keyed model.
+        self._allocator = OnlineAllocator(idx, mu=self._mu, enforce_budgets=True)
         self.name = f"allocate(mu={self._allocator.mu:.3g})"
 
     def on_offer(self, stream_id: str, view: ResourceView) -> "list[str]":

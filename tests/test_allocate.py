@@ -431,3 +431,69 @@ class TestChargeResyncConfig:
         for sid in inst.stream_ids():
             assert eager.offer(sid) == lazy.offer(sid)
             assert eager._ops_since_resync == 0
+
+
+class TestArrayNativeInstances:
+    """The allocator takes an IndexedInstance and never lifts it itself."""
+
+    @staticmethod
+    def count_lifts(monkeypatch):
+        from repro.core.indexed import IndexedInstance
+
+        lifts = []
+        lift = IndexedInstance.lift
+        monkeypatch.setattr(
+            IndexedInstance, "lift", lambda self: lifts.append(1) or lift(self)
+        )
+        return lifts
+
+    def test_decisions_match_dict_instance(self, monkeypatch):
+        from repro.instances.workloads import (
+            iptv_neighborhood_indexed,
+            iptv_neighborhood_workload,
+        )
+
+        lifts = self.count_lifts(monkeypatch)
+        for seed in range(4):
+            idx = iptv_neighborhood_indexed(12, 10, seed=seed)
+            dict_alloc = OnlineAllocator(iptv_neighborhood_workload(12, 10, seed=seed))
+            array_alloc = OnlineAllocator(idx)
+            assert global_skew_parameters(idx) == (
+                dict_alloc.gamma, dict_alloc.mu, dict_alloc.d)
+            active = set()
+            for k in list(range(idx.num_streams)) * 2:
+                if k in active:  # second visit: the session departs
+                    dict_alloc.release_indexed(k)
+                    array_alloc.release_indexed(k)
+                    active.discard(k)
+                    continue
+                receivers = dict_alloc.offer(idx.stream_ids[k])
+                assert array_alloc.offer(idx.stream_ids[k]) == receivers
+                if receivers:
+                    active.add(k)
+            assert array_alloc.state_digest() == dict_alloc.state_digest()
+        assert lifts == []
+
+    def test_instance_is_lifted_on_demand(self, monkeypatch):
+        from repro.instances.workloads import small_streams_indexed_workload
+
+        lifts = self.count_lifts(monkeypatch)
+        idx = small_streams_indexed_workload(10, 4, seed=2)
+        allocator = OnlineAllocator(idx)
+        assert small_streams_condition(idx, allocator.mu)
+        allocator.offer_indexed(0)
+        assert lifts == [] and idx.instance is None
+        assignment = allocator.assignment
+        assert assignment.instance is idx.instance is allocator.instance
+        with pytest.raises(ValidationError):
+            allocator.offer("no-such-stream")
+
+    def test_policy_binds_without_lift(self, monkeypatch):
+        from repro.instances.workloads import cable_headend_indexed
+        from repro.sim.policies import AllocatePolicy
+
+        lifts = self.count_lifts(monkeypatch)
+        policy = AllocatePolicy()
+        policy.bind_indexed(cable_headend_indexed(10, 3, 4, seed=1))
+        assert policy.name.startswith("allocate(mu=")
+        assert lifts == []

@@ -377,6 +377,82 @@ class TestRunner:
                         "violations", "peak_utilization", "jain"):
                 assert row_i[key] == row_c[key], key
 
+    @pytest.mark.parametrize("family", ["iptv", "cable-headend", "small-streams"])
+    def test_sim_aggregate_independent_of_pool_and_shards(self, family, tmp_path):
+        """Cells travel to workers whole; the aggregate must not notice."""
+        from dataclasses import replace
+
+        spec = replace(SIM, family=family, policies=("threshold", "allocate", "random"))
+        expected = run_experiment(spec).to_jsonl()
+        for workers in (2, 4):
+            assert run_experiment(spec, workers=workers).to_jsonl() == expected
+        shards = [tmp_path / f"s{i}.jsonl" for i in range(2)]
+        for i, path in enumerate(shards):
+            run_experiment(spec, shard=(i, 2), workers=2, checkpoint=path)
+        assert merge_checkpoints(spec, shards).to_jsonl() == expected
+
+    def test_pool_maps_whole_cells(self, monkeypatch):
+        """On a pool each mapped item is one cell: its policies, in unit order."""
+        from repro.experiments.transport import local
+
+        items = []
+
+        def recording_map(fn, cells, workers=1):
+            for cell in cells:
+                items.append([unit.index for unit, _cached in cell[1]])
+                yield fn(cell)
+
+        monkeypatch.setattr(local, "map_ordered", recording_map)
+        run = run_experiment(SIM, workers=2)
+        assert items == [[0, 1], [2, 3]]
+        assert [row["unit"] for row in run.rows] == [0, 1, 2, 3]
+        for spec, workers in ((SMOKE, 2), (SIM, 1)):
+            items.clear()
+            run_experiment(spec, workers=workers)
+            assert items == [[unit.index] for unit in spec.expand()]
+
+    def test_in_process_interrupt_keeps_finished_policy_rows(
+        self, tmp_path, monkeypatch
+    ):
+        """At one worker a row is checkpointed as its unit finishes, mid-cell too."""
+        from repro.experiments.transport import local
+
+        execute_item = local.execute_item
+
+        def interrupted(args):
+            if args[1].index == 1:
+                raise KeyboardInterrupt
+            return execute_item(args)
+
+        ckpt = tmp_path / "ckpt.jsonl"
+        monkeypatch.setattr(local, "execute_item", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(SIM, checkpoint=ckpt)
+        assert list(read_checkpoint(ckpt)) == [0]
+        monkeypatch.setattr(local, "execute_item", execute_item)
+        resumed = run_experiment(SIM, checkpoint=ckpt, resume=True)
+        assert resumed.to_jsonl() == run_experiment(SIM).to_jsonl()
+
+    @pytest.mark.parametrize("family", ["iptv", "cable-headend", "small-streams"])
+    def test_sim_sweep_never_lifts(self, family, monkeypatch):
+        """Cells are built and replayed on arrays: no string-keyed model."""
+        from dataclasses import replace
+
+        from repro.core.indexed import IndexedInstance
+
+        lifts = []
+        lift = IndexedInstance.lift
+        monkeypatch.setattr(
+            IndexedInstance, "lift", lambda self: lifts.append(self.name) or lift(self)
+        )
+        spec = replace(
+            SIM, family=family, sim_engine="indexed",
+            policies=("threshold", "allocate", "density", "random"),
+        )
+        run = run_experiment(spec)
+        assert len(run.rows) == 8 and sum(row["offered"] for row in run.rows) > 0
+        assert lifts == []
+
     def test_jsonl_family_runs_serialized_instances(self, tmp_path):
         from repro.instances.generators import random_unit_skew_smd
 
