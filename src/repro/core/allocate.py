@@ -55,7 +55,14 @@ finite duration):
   :meth:`~OnlineAllocator.load_state` is rejected again in O(1), with
   no charge gather, sort or drop walk.  The memo is one state epoch per
   rejected stream; it is not part of the snapshot, and a restored
-  allocator (cold memo) gives the same answers.
+  allocator (cold memo) gives the same answers;
+- a full decision that must reject is settled without the sort and the
+  drop walk: every kept set's Line-4 margin is at least
+  ``server − Σ_u max(0, w_u − c_u)``, and when that exceeds the walk's
+  worst-case rounding error (:func:`_certain_rejection`) the walk could
+  only reject, so :meth:`~OnlineAllocator.offer_indexed` rejects at
+  once.  Admissions, and rejections too close to call, still run the
+  walk, so every answer and every float of the state is unchanged.
 """
 
 from __future__ import annotations
@@ -115,6 +122,37 @@ def small_streams_condition(
     if mu is None:
         _gamma, mu, _d = global_skew_parameters(instance)
     return small_streams_indexed(ensure_indexed(instance), mu)
+
+
+#: The rejection certificate's error allowance per user, in units of
+#: the scale ``T``: ``8·2⁻⁵³``, over 2.6× the first-order rounding
+#: bound (see :func:`_certain_rejection`).
+_CERTIFICATE_ALLOWANCE = 8 * 2.0**-53
+
+
+def _certain_rejection(server_charge: float, charges: np.ndarray, w: np.ndarray) -> bool:
+    """Whether Line 4 keeps no user of an offer, decided without the
+    sort and the drop walk; ``False`` means "run the walk".
+
+    For any kept set ``K`` the exact Line-4 margin is
+    ``server + Σ_K c_u − Σ_K w_u ≥ server − G`` with
+    ``G = Σ_u max(0, w_u − c_u)``.  Every running total of
+    :func:`_drop_walk` is at most ``2n − 1`` sequential additions and
+    subtractions whose partial sums are bounded by
+    ``T = |server| + Σ_u |c_u| + Σ_u w_u``, and ``G``'s own rounding
+    adds at most ``n`` more units, so the floats differ from the exact
+    totals by at most ``(3n − 1)·2⁻⁵³·T`` to first order (an addition
+    with a subnormal result is exact, so underflow does not widen it).
+    A computed ``server − G`` above ``8·(n + 2)·2⁻⁵³·T`` therefore makes
+    the walk's ``charge > utility`` test true at every drop count: the
+    walk would reject too.  A NaN or ``inf`` anywhere makes the test
+    false, and the caller falls through to the walk.
+    """
+    add = np.add.reduce
+    gain = w - charges
+    gain = float(add(np.maximum(gain, 0.0, out=gain)))
+    scale = abs(server_charge) + float(add(np.abs(charges))) + float(add(w))
+    return server_charge - gain > _CERTIFICATE_ALLOWANCE * (charges.size + 2) * scale
 
 
 def _drop_walk(server_charge, sorted_cw: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -448,7 +486,9 @@ class OnlineAllocator:
         """Index-native :meth:`offer`: stream index in, receiver user
         indices out (same floats, same decisions — the string form
         delegates here).  A stream already rejected in the current state
-        epoch is rejected again from the memo, before any charge work."""
+        epoch is rejected again from the memo, before any charge work;
+        a rejection the charges certify (:func:`_certain_rejection`)
+        skips the sort and the drop walk."""
         idx = self._idx
         k = self._check_stream_index(k)
         self._check_active(k)
@@ -464,6 +504,10 @@ class OnlineAllocator:
         row_users = idx.s_user[row]
         row_w = idx.s_w[row]
         charges = self._user_charges(row_users, row)
+        server_charge = self._server_charge_index(k)
+        if _certain_rejection(server_charge, charges, row_w):
+            self._reject(k)
+            return empty
 
         # Maximal U_j: drop users in decreasing order of charge/utility
         # until the Line 4 condition holds (the paper's note after Alg. 2).
@@ -471,9 +515,7 @@ class OnlineAllocator:
         sorted_cw = np.empty((2, 1, hi - lo))
         sorted_cw[0, 0] = charges[order]
         sorted_cw[1, 0] = row_w[order]
-        count = int(_drop_walk(
-            self._server_charge_index(k), sorted_cw, np.array([hi - lo])
-        )[0])
+        count = int(_drop_walk(server_charge, sorted_cw, np.array([hi - lo]))[0])
         if count == 0:
             self._reject(k)
             return empty

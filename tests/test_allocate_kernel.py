@@ -22,34 +22,67 @@ capacity measures, infinite caps and budgets, and zero-load pairs:
   interleavings of offers, batches, releases, resyncs and state round
   trips give equal answers and state; each invalidation point (commit,
   release, resync, ``load_state``) forces a full re-decision;
-- ``offer_batch`` validates every stream index before writing state.
+- ``offer_batch`` validates every stream index before writing state;
+- the rejection certificate is sound: every rejection it settles
+  without the sort and the walk is re-decided by ``_drop_walk`` and by
+  the scalar loop and keeps no user, on random offer/release/resync
+  sequences, at margins a few ulps from its allowance, with tiny
+  negative loads and with NaN or ``inf`` charges (which it leaves to
+  the walk); the reference overrides ``offer_indexed`` and so never
+  takes the certificate path;
+- on a reject-dominated iptv cell and a small-streams churn cell the
+  certificate settles every full-decision rejection, so the drop walk
+  runs once per admitting offer.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.allocate import OnlineAllocator, _drop_walk, allocate
+from repro.core import allocate as allocate_module
+from repro.core.allocate import (
+    _CERTIFICATE_ALLOWANCE,
+    OnlineAllocator,
+    _certain_rejection,
+    _drop_walk,
+    allocate,
+)
 from repro.core.assignment import Assignment
 from repro.core.instance import FEASIBILITY_RTOL, MMDInstance, Stream, User
 from repro.exceptions import ValidationError
 from repro.instances.generators import small_streams_mmd
+from repro.instances.workloads import (
+    iptv_neighborhood_indexed,
+    small_streams_indexed_workload,
+)
+from repro.sim.indexed import draw_trace_arrays
+from repro.sim.policies import AllocatePolicy
+from repro.sim.simulation import ArrivalModel, simulate_trace
 
 
 def hand_built(
-    seed: int, streams: int = 14, users: int = 10, mc: int = 3, tight: float = 1.0
+    seed: int,
+    streams: int = 14,
+    users: int = 10,
+    mc: int = 3,
+    tight: float = 1.0,
+    m: int = 3,
 ) -> MMDInstance:
     """Instance exercising every branch of the charge kernel.
 
     Budgets: one finite, one infinite, one finite measure many streams
-    do not cost.  Capacities: a mix of finite and infinite caps per
-    user.  Loads: some pairs load a measure with zero, some
-    positive-utility pairs have no load entry at all.  ``tight`` scales
-    the finite budgets and caps (below 1: a reject-heavy instance).
+    do not cost (the first ``m`` of these three).  Capacities: a mix of
+    finite and infinite caps per user.  Loads: some pairs load a measure
+    with zero, some positive-utility pairs have no load entry at all.
+    ``tight`` scales the finite budgets and caps (below 1: a
+    reject-heavy instance).
     """
     rng = random.Random(seed)
     catalog = []
@@ -59,7 +92,7 @@ def hand_built(
             rng.uniform(0.5, 3.0),
             0.0 if s % 3 == 0 else rng.uniform(0.2, 2.0),
         )
-        catalog.append(Stream(f"s{s:02d}", costs))
+        catalog.append(Stream(f"s{s:02d}", costs[:m]))
     people = []
     for u in range(users):
         caps = tuple(
@@ -77,7 +110,7 @@ def hand_built(
                     )
         people.append(User(f"u{u:02d}", rng.uniform(10.0, 40.0), caps, utilities, loads))
     budgets = (max(3.0, tight * streams * 0.6), math.inf, max(2.0, tight * streams * 0.4))
-    return MMDInstance(catalog, people, budgets, name=f"hand-{seed}")
+    return MMDInstance(catalog, people, budgets[:m], name=f"hand-{seed}")
 
 
 def _scalar_drop(server_charge, charges, w):
@@ -548,3 +581,328 @@ class TestOfferBatchValidation:
         assert allocator.rejected_count == count
         assert allocator.rejected == rejected
         assert allocator.state_digest() == digest
+
+
+# ---------------------------------------------------------------------------
+# Rejection certificate
+# ---------------------------------------------------------------------------
+
+
+def _walk_keeps(server_charge, charges, w, ranks):
+    """Users kept by ``_drop_walk`` and by ``_scalar_drop`` for one offer,
+    in ``offer_indexed``'s (charge/utility, rank) drop order."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        order = np.lexsort((ranks, charges / w))
+    sorted_cw = np.stack([charges[order], w[order]])[:, None, :]
+    walk = int(_drop_walk(server_charge, sorted_cw, np.array([w.size]))[0])
+    return walk, _scalar_drop(server_charge, charges[order], w[order])
+
+
+class CertificateSpy:
+    """Stands in for ``_certain_rejection`` and keeps what it certified.
+
+    :meth:`check` re-decides the certified rejections of an offer by the
+    walk and the scalar loop in the offer's own drop order.
+    """
+
+    def __init__(self):
+        self.fired = 0
+        self.min_charge = math.inf
+        self.pending = []
+
+    def __call__(self, server_charge, charges, w):
+        self.min_charge = min(self.min_charge, float(np.nanmin(charges)))
+        certified = _certain_rejection(server_charge, charges, w)
+        if certified:
+            self.fired += 1
+            self.pending.append((server_charge, charges.copy(), w.copy()))
+        return certified
+
+    def check(self, allocator, k):
+        idx = allocator._idx
+        ranks = allocator._pair_rank[idx.s_indptr[k]:idx.s_indptr[k + 1]]
+        for server_charge, charges, w in self.pending:
+            assert _walk_keeps(server_charge, charges, w, ranks) == (0, 0)
+        self.pending.clear()
+
+
+def _offer_both(fast, reference, spy, k):
+    """Offer ``k`` to both allocators; the answers and states must agree."""
+    got = fast.offer_indexed(k)
+    spy.check(fast, k)
+    assert np.array_equal(got, reference.offer_indexed(k))
+    return got
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**16),
+    m=st.integers(1, 3),
+    mc=st.integers(1, 3),
+    tight=st.sampled_from([0.3, 0.5, 1.0]),
+    ops=st.lists(
+        st.tuples(st.sampled_from(["offer", "offer", "offer", "release", "resync"]),
+                  st.integers(0, 2**16)),
+        min_size=1, max_size=120,
+    ),
+)
+def test_certificate_sound_on_random_sequences(seed, m, mc, tight, ops):
+    inst = hand_built(seed, streams=12, users=10, mc=mc, tight=tight, m=m)
+    fast = OnlineAllocator(inst, charge_resync=25)
+    reference = GatherAndMaskAllocator(inst, charge_resync=25)
+    spy = CertificateSpy()
+    with mock.patch.object(allocate_module, "_certain_rejection", spy):
+        for op, pick in ops:
+            if op == "resync":
+                fast.resync_charges()
+                reference.resync_charges()
+            elif op == "release":
+                if fast._active_pairs:
+                    active = sorted(fast._active_pairs)
+                    k = active[pick % len(active)]
+                    fast.release_indexed(k)
+                    reference.release_indexed(k)
+            else:
+                idle = [k for k in range(inst.num_streams) if k not in fast._active_pairs]
+                if idle:
+                    _offer_both(fast, reference, spy, idle[pick % len(idle)])
+    assert fast.rejected_count == reference.rejected_count
+    assert fast.rejected == reference.rejected
+    assert fast.state_digest() == reference.state_digest()
+
+
+@pytest.mark.parametrize("make", MEMO_INSTANCES)
+def test_certificate_settles_reject_heavy_sequences(make):
+    """The random-sequence check on fixed reject-heavy runs, where the
+    certificate is known to fire."""
+    inst = make()
+    fast = OnlineAllocator(inst)
+    reference = GatherAndMaskAllocator(inst)
+    spy = CertificateSpy()
+    rng = random.Random(29)
+    with mock.patch.object(allocate_module, "_certain_rejection", spy):
+        for _ in range(400):
+            if rng.random() < 0.08 and fast._active_pairs:
+                k = rng.choice(sorted(fast._active_pairs))
+                fast.release_indexed(k)
+                reference.release_indexed(k)
+                continue
+            idle = [k for k in range(inst.num_streams) if k not in fast._active_pairs]
+            _offer_both(fast, reference, spy, rng.choice(idle))
+    assert spy.fired > 10
+    assert fast.state_digest() == reference.state_digest()
+
+
+def _zero_margin_server(charges, w):
+    """``(G, T0)``: the certificate's gain (the server charge at which its
+    margin is zero), computed as it computes it, and its scale there."""
+    add = np.add.reduce
+    gain = add(np.maximum(w - charges, 0.0))
+    return gain, abs(gain) + add(np.abs(charges)) + add(w)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 40, 300])
+@pytest.mark.parametrize("seed", range(3))
+def test_certificate_margin_near_its_allowance(n, seed):
+    """Margins a few ulps·T either side of the ``8·(n + 2)·2⁻⁵³·T``
+    allowance flip the certificate where the bound says, margins near
+    zero (where the float walk may go either way) never certify, and
+    every certified margin is a rejection of the walk and the scalar
+    loop.  Tiny negative charges, as releases leave, are included."""
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.5, 10.0, n)
+    charges = w * rng.uniform(0.0, 2.0, n)
+    charges[rng.random(n) < 0.25] = -rng.uniform(0.0, 1.7e-18)
+    ranks = rng.permutation(n)
+    gain, scale = _zero_margin_server(charges, w)
+    step = 2.0**-53 * scale
+    allowance = 8 * (n + 2)
+    margins = [*range(-4, 5), *range(allowance - 8, allowance + 9), 2 * allowance]
+    for k in margins:
+        server = gain + k * step
+        certified = _certain_rejection(server, charges, w)
+        if k <= allowance - 3:
+            assert not certified, k
+        if k >= allowance + 3:
+            assert certified, k
+        if certified:
+            assert _walk_keeps(server, charges, w, ranks) == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "poison",
+    ["nan-charge", "inf-charge", "-inf-charge", "nan-server", "inf-server", "overflow"],
+)
+def test_certificate_leaves_nan_and_inf_to_the_walk(poison):
+    """Any NaN or ``inf`` (and a scale that overflows) makes the test
+    false, so the walk decides those offers."""
+    w = np.array([1.0, 2.0, 3.0, 4.0])
+    charges = np.array([0.5, 0.0, 5.0, -1e-18])
+    server = 1e6
+    assert _certain_rejection(server, charges, w)
+    if poison.endswith("charge"):
+        charges[1] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}[poison[:-7]]
+    elif poison == "overflow":
+        server, charges[2] = 1.7e308, 1.7e308
+    else:
+        server = {"nan-server": math.nan, "inf-server": math.inf}[poison]
+    assert not _certain_rejection(server, charges, w)
+
+
+def _fan_instance(users: int = 3) -> MMDInstance:
+    """One server budget; stream ``a`` wanted by ``users`` users with
+    infinite caps (zero user charges), so the server charge alone
+    decides."""
+    people = [
+        User(f"u{u}", math.inf, (math.inf,), {"a": 1.0 + u, "b": 2.0}, {})
+        for u in range(users)
+    ]
+    return MMDInstance([Stream("a", (0.6,)), Stream("b", (0.3,))], people, (1.0,),
+                       name="fan")
+
+
+def test_certificate_on_hand_made_states_near_the_bound():
+    """Server charges stepped one float at a time across the allowance:
+    both allocators reject at every step, and the certificate turns on
+    exactly once, partway through."""
+    inst = _fan_instance()
+    fast, reference = OnlineAllocator(inst), GatherAndMaskAllocator(inst)
+    state = fast.state_dict()
+    idx = fast._idx
+    k = idx.stream_index["a"]
+    w = idx.s_w[idx.s_indptr[k]:idx.s_indptr[k + 1]]
+    total = float(np.add.reduce(w))
+    allowance = _CERTIFICATE_ALLOWANCE * (w.size + 2)
+    # Server charge s* with s* − Σw = allowance·(s* + Σw); exp_server = 1 + s*/(ratio·B').
+    target = (total + allowance * total) / (1.0 - allowance)
+    per_unit = fast._server_ratio[k, 0] * fast._server_scaled_budget[0]
+    exp_target = 1.0 + target / per_unit
+    spy = CertificateSpy()
+    answers = []
+    with mock.patch.object(allocate_module, "_certain_rejection", spy):
+        for steps in range(-20, 21):
+            state["exp_server"][0] = exp_target + steps * np.spacing(exp_target)
+            fast.load_state(state)
+            reference.load_state(state)
+            fired = spy.fired
+            assert _offer_both(fast, reference, spy, k).size == 0
+            answers.append(spy.fired - fired)
+    assert answers[0] == 0 and answers[-1] == 1
+    assert sum(a != b for a, b in zip(answers, answers[1:])) == 1
+
+
+@pytest.mark.parametrize("make", MEMO_INSTANCES)
+def test_certificate_with_tiny_negative_loads(make):
+    """Residues like ``-1e-16`` on idle budgets make ``µ^L − 1`` and so
+    some user and server charges slightly negative."""
+    inst = make()
+    fast = OnlineAllocator(inst)
+    for k in range(inst.num_streams):
+        fast.offer_indexed(k)
+    for k in sorted(fast._active_pairs)[::2]:
+        fast.release_indexed(k)
+    state = fast.state_dict()
+    residue = -np.arange(1, 4) * 1e-16
+    idle = np.argwhere(fast._finite_caps & (state["user_load"] == 0.0))
+    assert idle.size
+    for n, (u, j) in enumerate(idle):
+        state["user_load"][u, j] = residue[n % residue.size]
+    idle_server = [i for i in fast._server_measures if state["server_load"][i] == 0.0]
+    state["server_load"][idle_server] = residue[0]
+    state["exp_server"][...] = fast.mu ** state["server_load"]
+    state["exp_user"][...] = fast.mu ** state["user_load"]
+    fast.load_state(state)
+    reference = GatherAndMaskAllocator(inst)
+    reference.load_state(state)
+    spy = CertificateSpy()
+    rng = random.Random(3)
+    with mock.patch.object(allocate_module, "_certain_rejection", spy):
+        for _ in range(150):
+            if rng.random() < 0.1 and fast._active_pairs:
+                k = rng.choice(sorted(fast._active_pairs))
+                fast.release_indexed(k)
+                reference.release_indexed(k)
+                continue
+            idle_streams = [k for k in range(inst.num_streams) if k not in fast._active_pairs]
+            _offer_both(fast, reference, spy, rng.choice(idle_streams))
+    assert spy.min_charge < 0.0
+    assert spy.fired > 0
+    assert fast.state_digest() == reference.state_digest()
+
+
+@pytest.mark.parametrize("poison", [math.nan, math.inf], ids=["nan", "inf"])
+def test_certificate_defers_poisoned_charges(poison):
+    """A NaN or ``inf`` charge cache reaches the walk, and the answers
+    still equal the reference's."""
+    inst = hand_built(4, mc=1, tight=0.5)
+    fast = OnlineAllocator(inst)
+    for k in range(inst.num_streams):
+        fast.offer_indexed(k)
+    state = fast.state_dict()
+    poisoned = np.flatnonzero(fast._finite_caps[:, 0])[:3]
+    state["exp_user"][poisoned, 0] = poison
+    fast.load_state(state)
+    reference = GatherAndMaskAllocator(inst)
+    reference.load_state(state)
+    spy = CertificateSpy()
+    idx = fast._idx
+    seen = 0
+    with mock.patch.object(allocate_module, "_certain_rejection", spy), \
+            np.errstate(invalid="ignore", over="ignore"):
+        for k in range(inst.num_streams):
+            if k in fast._active_pairs:
+                continue
+            lo, hi = int(idx.s_indptr[k]), int(idx.s_indptr[k + 1])
+            hit = np.isin(idx.s_user[lo:hi], poisoned) & fast._pair_charged[0, lo:hi]
+            fired = spy.fired
+            _offer_both(fast, reference, spy, k)
+            if hit.any():
+                seen += 1
+                assert spy.fired == fired
+    assert seen > 0
+    assert fast.state_digest() == reference.state_digest()
+
+
+def _iptv_cell():
+    """A reject-dominated cell: iptv 40 × 300, sessions of half the horizon."""
+    idx = iptv_neighborhood_indexed(40, 300, seed=1)
+    model = ArrivalModel(rate=100.0, mean_duration=40.0, popularity_exponent=1.0)
+    return idx, draw_trace_arrays(idx, model, 80.0, 1), 80.0
+
+
+def _churn_cell():
+    """A churn cell: small-streams 80 × 200, short sessions."""
+    idx = small_streams_indexed_workload(80, 200, seed=2008)
+    model = ArrivalModel(rate=100.0, mean_duration=5.0, popularity_exponent=1.0)
+    return idx, draw_trace_arrays(idx, model, 40.0, 1), 40.0
+
+
+@pytest.mark.parametrize("cell", [_iptv_cell, _churn_cell], ids=["iptv", "churn"])
+def test_drop_walk_runs_only_for_admitting_offers(cell, monkeypatch):
+    """On both cells every full-decision rejection is settled by the
+    certificate: the walk runs exactly once per admitting offer."""
+    idx, trace, horizon = cell()
+    counts = {"walks": 0, "admits": 0, "certified": 0}
+    walk, offer = allocate_module._drop_walk, OnlineAllocator.offer_indexed
+
+    def counting_walk(*args):
+        counts["walks"] += 1
+        return walk(*args)
+
+    def counting_certificate(*args):
+        certified = _certain_rejection(*args)
+        counts["certified"] += certified
+        return certified
+
+    def counting_offer(self, k):
+        answer = offer(self, k)
+        counts["admits"] += answer.size > 0
+        return answer
+
+    monkeypatch.setattr(allocate_module, "_drop_walk", counting_walk)
+    monkeypatch.setattr(allocate_module, "_certain_rejection", counting_certificate)
+    monkeypatch.setattr(OnlineAllocator, "offer_indexed", counting_offer)
+    report = simulate_trace(idx, AllocatePolicy(), trace, horizon, engine="indexed")
+    assert counts["admits"] == report.admitted > 0
+    assert counts["certified"] > counts["admits"] // 2
+    assert counts["walks"] == counts["admits"]

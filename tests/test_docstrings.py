@@ -8,8 +8,9 @@ layer, the PR-5 chunked kernel, the PR-6 batched core, the PR-7
 trace store and the PR-8 serving layer): ``repro.core.indexed``,
 ``repro.core.batched``, every module of ``repro.instances``,
 ``repro.config``, every module of ``repro.experiments``,
-``repro.sim.kernel``, ``repro.sim.store``, every module of
-``repro.serve`` and ``repro.util.atomic``.
+``repro.core.allocate``, ``repro.sim.indexed``, ``repro.sim.kernel``,
+``repro.sim.store``, every module of ``repro.serve`` and
+``repro.util.atomic``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ CHECKED_FILES = sorted(
     [
         SRC / "core" / "indexed.py",
         SRC / "core" / "batched.py",
+        SRC / "core" / "allocate.py",
         SRC / "config.py",
+        SRC / "sim" / "indexed.py",
         SRC / "sim" / "kernel.py",
         SRC / "sim" / "store.py",
         SRC / "util" / "atomic.py",
