@@ -6,8 +6,8 @@ session trace and replaying it under an online admission policy (the E9
 setting).  The dict engine pays an O(S) ``rng.choice`` per arrival, heap
 churn per event and per-user Python loops per admission; the indexed
 engine (``repro.sim.indexed``) draws the whole trace with batched numpy
-calls and replays it as CSR-row scatter updates over one pre-sorted
-event array.
+calls and replays it with the decision-point kernel — CSR-row scatter
+updates at policy decisions and live departures only.
 
 Measured end-to-end (trace draw + replay, threshold policy) at
 10 000 users × 1 000 streams × ~10 000 events.  Asserts:
@@ -125,8 +125,8 @@ def bench_e13_simulation(benchmark):
         f"({NUM_USERS} users × {NUM_STREAMS} streams × ~{NUM_EVENTS} events)",
         "repro.sim.indexed draws the Poisson/Zipf trace with batched numpy "
         "calls (one searchsorted for all stream choices) and replays it "
-        "calendar-light: one pre-sorted event array, CSR-row admission "
-        "checks, scatter-add accounting and columnar per-user utility "
+        "with the decision-point kernel: only policy decisions and live "
+        "departures reach Python, with CSR-row admission checks, scatter-add accounting and columnar per-user utility "
         "integration. End-to-end time includes the trace draw.",
         ["policy", "dict engine", "indexed engine", "speedup", "throughput"],
         rows,

@@ -12,11 +12,12 @@ iteration per *decision*:
    non-interacting against residual budgets, and commits it with one
    vectorized residual update — falling back to single picks only for
    the conflicting tail.
-2. The chunked replay kernel (``engine="chunked"``) already skips
-   no-decision runs, but answers each surviving decision with one
-   ``on_offer_indexed`` call.  ``BatchedVideoSim`` (``engine="batched"``)
-   groups consecutive decision arrivals between departures and answers
-   the group through one vectorized ``on_offer_batch``.
+2. The decision-point replay kernel (``IndexedVideoSim``,
+   ``engine="indexed"``) already skips no-decision runs, but answers
+   each surviving decision with one ``on_offer_indexed`` call.
+   ``BatchedVideoSim`` (``engine="batched"``) answers an order-free
+   policy's pending arrivals through one vectorized ``on_offer_batch``
+   and reuses the answers as a decision map until the state changes.
 
 Both comparisons assert *float-identical* outputs — the batched paths
 reproduce the sequential engines' IEEE accumulation order exactly (the
@@ -40,8 +41,8 @@ import numpy as np
 from repro.core.batched import greedy_kernel_batched
 from repro.core.indexed import greedy_kernel
 from repro.instances.vectorized import generate_unit_skew_smd
-from repro.sim.indexed import draw_trace_arrays
-from repro.sim.kernel import BatchedVideoSim, ChunkedVideoSim
+from repro.sim.indexed import IndexedVideoSim, draw_trace_arrays
+from repro.sim.kernel import BatchedVideoSim
 from repro.sim.policies import ThresholdPolicy
 from repro.sim.simulation import ArrivalModel
 from repro.util.timing import Timer
@@ -146,28 +147,28 @@ def bench_e16_batched(benchmark):
             R_STREAMS, R_USERS, seed=43, density=0.01, budget_fraction=0.02
         )
         trace = draw_trace_arrays(sim_idx, R_MODEL, R_HORIZON, seed=7)
-        chunked_sim = ChunkedVideoSim(sim_idx, ThresholdPolicy())
+        indexed_sim = IndexedVideoSim(sim_idx, ThresholdPolicy())
         batched_sim = BatchedVideoSim(sim_idx, ThresholdPolicy())
-        t_chunked, chunked_report = _timed(
-            lambda: chunked_sim.run_trace(trace, R_HORIZON)
+        t_indexed, indexed_report = _timed(
+            lambda: indexed_sim.run_trace(trace, R_HORIZON)
         )
         t_batched, batched_report = _timed(
             lambda: batched_sim.run_trace(trace, R_HORIZON)
         )
         replay_res = {
-            "t_chunked": t_chunked,
+            "t_indexed": t_indexed,
             "t_batched": t_batched,
             "events": len(trace),
-            "offered": chunked_report.offered,
-            "admitted": chunked_report.admitted,
-            "parity": _reports_identical(chunked_report, batched_report),
+            "offered": indexed_report.offered,
+            "admitted": indexed_report.admitted,
+            "parity": _reports_identical(indexed_report, batched_report),
         }
         return {"greedy": greedy_res, "replay": replay_res}
 
     data = run_once(benchmark, experiment)
     g, r = data["greedy"], data["replay"]
     g_speedup = g["t_single"] / max(g["t_multi"], 1e-9)
-    r_speedup = r["t_chunked"] / max(r["t_batched"], 1e-9)
+    r_speedup = r["t_indexed"] / max(r["t_batched"], 1e-9)
 
     stage_section(
         "E16",
@@ -178,9 +179,10 @@ def bench_e16_batched(benchmark):
         "verifies non-interaction against residual budgets per round and "
         "commits accepted picks with one vectorized residual update, "
         "falling back to exact single picks only for the conflicting "
-        "tail.  BatchedVideoSim groups consecutive decision arrivals "
-        "between departures and answers each group through one "
-        "vectorized on_offer_batch instead of per-decision policy calls.",
+        "tail.  BatchedVideoSim answers the pending arrivals of an "
+        "order-free policy through one vectorized on_offer_batch and "
+        "replays every repeat arrival from that decision map until the "
+        "state changes, instead of per-decision policy calls.",
         ["path", "sequential", "batched", "speedup", "work"],
         [
             [
@@ -192,14 +194,14 @@ def bench_e16_batched(benchmark):
             ],
             [
                 "threshold replay",
-                f"{r['t_chunked']:.2f} s",
+                f"{r['t_indexed']:.2f} s",
                 f"{r['t_batched']:.2f} s",
                 f"{r_speedup:.1f}x",
                 f"{r['offered']:,} decisions of {r['events']:,} events",
             ],
         ],
         notes="Outputs are float-identical to the single-pick kernel and "
-        "the chunked engine (asserted here; fuzzed in "
+        "the indexed engine (asserted here; fuzzed in "
         "tests/test_indexed_parity.py and tests/test_sim_indexed.py).  "
         "The greedy win grows with round size (rare pick interactions); "
         "the replay win grows with the length of decision runs between "
@@ -220,7 +222,7 @@ def bench_e16_batched(benchmark):
                 "events": r["events"],
                 "offered": r["offered"],
                 "admitted": r["admitted"],
-                "t_chunked_s": r["t_chunked"],
+                "t_indexed_s": r["t_indexed"],
                 "t_batched_s": r["t_batched"],
                 "speedup": r_speedup,
             },
@@ -234,9 +236,9 @@ def bench_e16_batched(benchmark):
         f"batched greedy only {g_speedup:.1f}x faster than single-pick "
         f"(need ≥ {MIN_GREEDY_SPEEDUP}x)"
     )
-    assert r["parity"], "batched replay diverged from chunked"
+    assert r["parity"], "batched replay diverged from indexed"
     assert r["admitted"] > 0, "degenerate replay: nothing admitted"
     assert r_speedup >= MIN_REPLAY_SPEEDUP, (
-        f"batched replay only {r_speedup:.1f}x faster than chunked "
+        f"batched replay only {r_speedup:.1f}x faster than indexed "
         f"(need ≥ {MIN_REPLAY_SPEEDUP}x)"
     )

@@ -2,7 +2,7 @@
 
 The columnar store (``repro.sim.store``) keeps a trace on disk — one
 ``.npy`` per column behind a torn-tail-safe manifest — and replays it
-through the chunked kernel in time windows, handing live sessions
+through the decision-point replay kernel in time windows, handing live sessions
 across window edges as resident state so the stitched report is
 *float-identical* to a monolithic in-RAM replay.  This bench draws a
 ~10⁷-event trace straight to disk in bounded chunks
@@ -35,8 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.instances.vectorized import generate_unit_skew_smd
-from repro.sim.indexed import IndexedTrace
-from repro.sim.kernel import ChunkedVideoSim
+from repro.sim.indexed import IndexedTrace, IndexedVideoSim
 from repro.sim.policies import ThresholdPolicy
 from repro.sim.simulation import ArrivalModel
 from repro.sim.store import TraceStore, draw_trace_to_store
@@ -53,7 +52,7 @@ RATE = 100.0
 #: 3.2k events at the reference scale — the pad is ~30σ of margin).
 HORIZON = 1.01 * NUM_EVENTS / RATE
 #: Long sessions against a modest catalog: the mostly-no-decision
-#: regime the chunked kernel targets (same shape as E15).
+#: regime the decision-point kernel targets.
 MODEL = ArrivalModel(rate=RATE, mean_duration=HORIZON / 2.0, popularity_exponent=1.0)
 #: 256 windows across the horizon — each window holds ~NUM_EVENTS/256
 #: events, so resident numpy state stays a small fraction of the trace.
@@ -109,14 +108,14 @@ def bench_e17_store(benchmark):
                 durations=np.array(store.durations),
             )
             t_ram, report_ram = _timed(
-                lambda: ChunkedVideoSim(instance, ThresholdPolicy()).run_trace(
+                lambda: IndexedVideoSim(instance, ThresholdPolicy()).run_trace(
                     ram_trace, HORIZON
                 )
             )
             del ram_trace
 
             t_win, report_win = _timed(
-                lambda: ChunkedVideoSim(instance, ThresholdPolicy()).run_store(
+                lambda: IndexedVideoSim(instance, ThresholdPolicy()).run_store(
                     store, HORIZON, window=WINDOW
                 )
             )
@@ -127,7 +126,7 @@ def bench_e17_store(benchmark):
             tracemalloc.start()
             try:
                 tracemalloc.reset_peak()
-                report_traced = ChunkedVideoSim(
+                report_traced = IndexedVideoSim(
                     instance, ThresholdPolicy()
                 ).run_store(fresh, HORIZON, window=WINDOW)
                 _, peak = tracemalloc.get_traced_memory()
@@ -169,7 +168,7 @@ def bench_e17_store(benchmark):
         f"({NUM_USERS} users × {NUM_STREAMS} streams)",
         "repro.sim.store draws the trace straight to disk in bounded "
         "chunks (one .npy per column, torn-tail-safe manifest), reopens "
-        "it zero-copy via mmap, and streams it through the chunked "
+        "it zero-copy via mmap, and streams it through the replay "
         "kernel in fixed-width time windows; live sessions crossing a "
         "window edge are handed off as resident state (occupied budgets "
         "+ scheduled departures), so the stitched report equals the "
@@ -182,7 +181,7 @@ def bench_e17_store(benchmark):
         "column pages the OS streams and evicts — i.e. exactly the "
         "resident footprint the store bounds.  Parity is asserted with "
         "== on every report field; tests/test_store.py fuzzes the same "
-        "contract across all four engines and crafted boundary traces.",
+        "contract across every engine and crafted boundary traces.",
     )
     stage_json(
         "E17",

@@ -951,9 +951,10 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--engine", choices=ENGINE_SETTINGS["simulation"].choices,
                      default=None,
                      help="simulation engine (default: indexed — array-native "
-                     "trace draw and replay; chunked skips no-decision event "
-                     "runs for very long traces; dict keeps the original "
-                     "event loop; $REPRO_SIM_ENGINE overrides)")
+                     "trace draw and decision-point replay; batched answers "
+                     "order-free policies through a decision map; dict "
+                     "keeps the original event loop; $REPRO_SIM_ENGINE "
+                     "overrides)")
     sim.add_argument("--parallel", "-j", type=int, default=1,
                      help="worker processes, one policy replay each "
                      "(1 = in-process)")

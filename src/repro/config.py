@@ -16,13 +16,14 @@ implementations), ``indexed`` (vectorized single-pick kernels, the
 default) and ``batched`` (:mod:`repro.core.batched`, multi-pick greedy
 rounds).  All three produce bit-identical traces.
 
-The simulation seam has four engines: ``dict`` (the original
-string-keyed event loop), ``indexed`` (array-native per-event replay,
-the default), ``chunked`` (:mod:`repro.sim.kernel`, which skips
-no-decision event runs wholesale for 10⁶-event traces) and ``batched``
-(chunked replay answering grouped arrivals through the policies'
-vectorized ``on_offer_batch``); all four produce float-identical
-reports on a common trace.
+The simulation seam has three engines: ``dict`` (the original
+string-keyed event loop, the reference oracle), ``indexed``
+(:mod:`repro.sim.indexed`, the array-native decision-point kernel that
+skips no-decision event runs wholesale, the default) and ``batched``
+(:mod:`repro.sim.kernel`, the same kernel answering order-free
+policies through a decision map built from their vectorized
+``on_offer_batch``); all three produce float-identical reports on a
+common trace.
 
 Before this module each seam duplicated the same resolution logic
 (explicit argument > environment variable > default) in its own file.
@@ -90,7 +91,7 @@ ENGINE_SETTINGS: "dict[str, EngineSetting]" = {
         label="simulation engine",
         env="REPRO_SIM_ENGINE",
         default="indexed",
-        choices=("indexed", "dict", "chunked", "batched"),
+        choices=("indexed", "dict", "batched"),
     ),
 }
 

@@ -538,8 +538,9 @@ class OnlineAllocator:
     def offer_batch(self, ks: np.ndarray) -> "list[np.ndarray]":
         """Answer a group of offers; returns answers for a prefix of ``ks``.
 
-        Used by the batched simulation engine for arrival groups whose
-        decisions cannot interact until one commits.  The exponential
+        For groups of offers whose decisions cannot interact until one
+        commits; no simulation engine calls it (they drive Allocate one
+        :meth:`offer_indexed` call per decision).  The exponential
         charges only move on a commit, so every offer the sequential
         walk would *reject* sees unchanged state — this method answers
         memo hits (streams already rejected in the current epoch)

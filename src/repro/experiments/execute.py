@@ -232,7 +232,7 @@ def _sim_cell(spec: ScenarioSpec, unit: WorkUnit):
         from repro.sim.store import TraceStore
 
         trace = TraceStore.open(spec.trace_store)
-    elif engine != "dict":  # indexed and chunked share the array draw
+    elif engine != "dict":  # indexed and batched share the array draw
         model = ArrivalModel(
             rate=spec.rate,
             mean_duration=spec.duration,

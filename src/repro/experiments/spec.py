@@ -165,7 +165,7 @@ class ScenarioSpec:
         ``popularity``) do not apply — the store *is* the workload.
     store_window:
         Streamed-replay window (time units) for ``trace_store`` units
-        under the chunked/batched engines; reports are float-identical
+        under the indexed/batched engines; reports are float-identical
         to monolithic replay, only peak memory changes.
     refine_metric:
         Row metric an adaptive sweep scores cells by (one of

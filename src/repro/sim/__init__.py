@@ -18,13 +18,15 @@ compared in a dynamic setting with stream arrivals and departures.
   (:func:`~repro.sim.simulation.simulate_trace`,
   :func:`~repro.sim.simulation.compare_policies`).
 - :mod:`repro.sim.indexed` — the array-native simulation engine:
-  vectorized trace drawing and CSR-row replay on the
-  :class:`~repro.core.indexed.IndexedInstance` arrays (the default;
-  ``engine="dict"`` or ``$REPRO_SIM_ENGINE`` selects the original).
-- :mod:`repro.sim.kernel` — the chunked event-dispatch kernel
-  (``engine="chunked"``): skips no-decision event runs wholesale so
-  10⁶-event traces replay in Python time proportional to the number of
-  policy decisions, with float-identical reports.
+  vectorized trace drawing and a decision-point replay kernel on the
+  :class:`~repro.core.indexed.IndexedInstance` arrays that skips
+  no-decision event runs wholesale, so 10⁶-event traces replay in
+  Python time proportional to the number of policy decisions (the
+  default; ``engine="dict"`` or ``$REPRO_SIM_ENGINE`` selects the
+  original).
+- :mod:`repro.sim.kernel` — ``engine="batched"``: the same kernel
+  plus a decision map that answers order-free policies once per state
+  epoch, with float-identical reports.
 - :mod:`repro.sim.store` — the out-of-core columnar trace store:
   append-friendly one-``.npy``-per-column writer with a torn-tail-safe
   manifest, zero-copy mmap reopen behind the
@@ -42,7 +44,6 @@ from repro.sim.indexed import (
     draw_trace_arrays,
     resolve_sim_engine,
 )
-from repro.sim.kernel import ChunkedVideoSim
 from repro.sim.metrics import ColumnarTimeWeighted, SimulationReport, TimeWeightedValue
 from repro.sim.policies import (
     AdmissionPolicy,
@@ -82,7 +83,6 @@ __all__ = [
     "VideoDistributionSim",
     "IndexedTrace",
     "IndexedVideoSim",
-    "ChunkedVideoSim",
     "TraceStore",
     "TraceStoreWriter",
     "draw_trace",

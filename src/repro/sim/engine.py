@@ -9,9 +9,11 @@ own engine with the small simpy-like core the simulator needs:
   suspends for ``d`` time units, ``yield other_process`` suspends until
   that process finishes;
 - :class:`Timeout` — the delay request object;
-- :func:`merged_replay_order` — the calendar-light path for pre-drawn
-  traces: when all events are known up front, one vectorized sort
-  replaces the heap while reproducing its exact tie-breaking.
+- :func:`merged_replay_order` — the calendar-light replay order for
+  pre-drawn traces: when all events are known up front, one vectorized
+  sort replaces the heap while reproducing its exact tie-breaking (the
+  array simulation engines reproduce this order without materializing
+  it; the admission service's trace replay walks it directly).
 
 Determinism matters for reproducible experiments: events scheduled for
 the same instant fire in scheduling order (a strictly increasing

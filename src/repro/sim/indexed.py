@@ -12,34 +12,78 @@ module runs the whole simulation on the
   cumulative-weight ``searchsorted`` for the Zipf stream choices,
   producing an :class:`IndexedTrace` (three parallel arrays, no event
   objects);
-- :class:`IndexedVideoSim` — calendar-light replay
-  (:func:`~repro.sim.engine.merged_replay_order` instead of the heap),
-  vectorized admission/departure accounting over each stream's CSR row
-  (``np`` fancy-index scatter updates on the dense usage matrix), and
-  columnar per-user utility integration
+- :class:`IndexedVideoSim` — decision-point replay (below), vectorized
+  admission/departure accounting over each stream's CSR row (``np``
+  fancy-index scatter updates on the dense usage matrix), and columnar
+  per-user utility integration
   (:class:`~repro.sim.metrics.ColumnarTimeWeighted`).
+
+**Decision-point replay.**  Most events of a long trace do nothing: an
+arrival proposing a stream that is already multicast is skipped, and
+the departure of a proposal that was never admitted departs nothing.
+The driver touches Python only at the events that can change state:
+
+- **decision points** — arrivals whose stream is not currently carried
+  (the policy is offered the stream; the only place policy code runs);
+- **live departures** — the departure of an *admitted* session
+  (resource returns and utility-integration steps).
+
+They fire in the replay order :func:`~repro.sim.engine.merged_replay_order`
+defines — ascending ``(time, kind, schedule order)`` with arrivals
+(kind 0) before departures (kind 1) at the same instant and
+same-instant departures in admission order — but that order is never
+materialized: a 10⁶-event trace would spend more time in the 2·E-element
+multi-key lexsort than in the decisions themselves.  Instead one
+vectorized pass groups each stream's arrivals in CSR layout (sorted by
+``(time, position)``), and a heap of *next-interesting* keys — one
+candidate arrival per stream plus the departures of live sessions,
+ordered by the same ``(time, kind, arrival_time, position)`` tuples —
+yields interesting events directly in replay order.  When a decision
+*admits* a stream, every arrival of that stream up to the session's
+departure time is a no-op by construction, so the stream's cursor jumps
+past the whole run with one ``searchsorted``; when it *rejects*, the
+very next arrival of the stream is the next candidate.  Replay cost is
+one ``O(E log E)`` numpy grouping pass plus Python work proportional to
+the number of interesting events.
+
+**Windowed replay of on-disk stores.**  :meth:`IndexedVideoSim.run_store`
+replays a time-sorted :class:`~repro.sim.store.TraceStore` window by
+window: the driver is parameterized over a ``[w0, w1)`` span of the
+replay order, and the only state crossing a boundary is the carried heap
+of scheduled live departures plus a *resident* map ``stream ->
+departure time`` of the sessions spanning the edge.  At each window
+start the resident map advances every live stream's arrival cursor past
+the arrivals its session already covers, and the heap keys use *global*
+trace positions, so each window pops events in exactly the order the
+monolithic heap would.  Peak memory is a few window-sized arrays — the
+mmap'd store pages stream through — which is what makes 10⁸-event traces
+replayable in bounded RSS (``benchmarks/bench_e17_store.py``).
 
 **Parity contract.**  Given the same trace and a fresh policy, the
 indexed engine reproduces the dict engine's
 :class:`~repro.sim.metrics.SimulationReport` exactly — same utility
 integral, admits, violations, per-user utilities and utilization floats
-— because every accumulation happens in the same IEEE order the dict
-code uses (``tests/test_sim_indexed.py`` asserts this with ``==``).
-The engine is selected per call (``engine="dict"``) or globally via
+— because every handler fires in the dict engine's event order and
+every accumulation happens in the same IEEE order the dict code uses.
+Skipped events touch no counter and no integrator in either engine,
+which is what makes skipping them exact rather than approximate
+(``tests/test_sim_indexed.py`` asserts ``==``; ``tests/test_store.py``
+asserts windowed == monolithic at every window width).  The engine is
+selected per call (``engine="dict"``) or globally via
 ``$REPRO_SIM_ENGINE``; the default is ``indexed``.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config import ENGINE_SETTINGS, resolve_engine_setting
+from repro.config import ENGINE_SETTINGS, resolve_engine_setting, resolve_store_window
 from repro.core.indexed import IndexedInstance, ensure_indexed
 from repro.exceptions import SimulationError, ValidationError
-from repro.sim.engine import merged_replay_order
 from repro.sim.metrics import ColumnarTimeWeighted, SimulationReport, TimeWeightedValue
 from repro.sim.policies import AdmissionPolicy, ResourceView
 from repro.util.rng import ensure_rng
@@ -48,6 +92,16 @@ from repro.util.rng import ensure_rng
 SIM_ENGINE_ENV = ENGINE_SETTINGS["simulation"].env
 
 _SIM_ENGINES = ENGINE_SETTINGS["simulation"].choices
+
+#: Event-kind key component: arrivals tie-break before departures at
+#: the same instant, exactly like the heap calendar and
+#: :func:`~repro.sim.engine.merged_replay_order`.
+_ARRIVAL, _DEPARTURE = 0, 1
+
+#: Resident-map departure time of a session that outlives the horizon:
+#: no departure is scheduled (matching the dict engine), but every later
+#: arrival of the stream must still be skipped.
+_BEYOND_HORIZON = float("inf")
 
 
 def resolve_sim_engine(engine: "str | None" = None) -> str:
@@ -86,9 +140,15 @@ class IndexedTrace:
         return int(self.times.shape[0])
 
     def to_events(self, idx: IndexedInstance) -> list:
-        """Materialize the string-id :class:`SessionEvent` list."""
+        """Materialize the string-id :class:`SessionEvent` list.
+
+        A stream index outside ``[0, idx.num_streams)`` raises the
+        canonical unknown-stream :class:`ValidationError` (a negative
+        index must not wrap around to the last stream).
+        """
         from repro.sim.simulation import SessionEvent
 
+        _check_stream_indices(self.streams, idx.num_streams)
         ids = idx.stream_ids
         return [
             SessionEvent(time=float(t), stream_id=ids[int(k)], duration=float(d))
@@ -116,6 +176,58 @@ class IndexedTrace:
             streams[i] = index
             durations[i] = event.duration
         return cls(times=times, streams=streams, durations=durations)
+
+
+def _check_stream_indices(streams: np.ndarray, num_streams: int) -> None:
+    """Refuse stream indices outside ``[0, num_streams)``.
+
+    Raises the same unknown-stream :class:`ValidationError` as
+    :meth:`IndexedTrace.from_events`, so every engine fails one way.
+    """
+    if streams.size == 0:
+        return
+    low, high = int(streams.min()), int(streams.max())
+    if low < 0 or high >= num_streams:
+        bad = low if low < 0 else high
+        raise ValidationError(
+            f"unknown stream id at index {bad} (the instance has "
+            f"{num_streams} streams)"
+        )
+
+
+def _check_arrival_times(times: np.ndarray) -> None:
+    """Refuse NaN arrival times and arrivals before time 0.
+
+    The dict engine refuses to schedule either (its calendar starts at
+    0); silently dropping them here would diverge.
+    """
+    if np.isnan(times).any():
+        raise SimulationError("NaN event time or duration in trace")
+    if times.size and float(times.min()) < 0.0:
+        raise SimulationError(
+            f"cannot schedule into the past (arrival at {float(times.min())})"
+        )
+
+
+def _check_durations(durations: np.ndarray) -> None:
+    """Refuse NaN or negative durations of arrivals within the horizon.
+
+    The dict engine refuses to schedule their departures; never
+    departing the session instead would diverge silently.  Like the
+    dict engine, durations of arrivals past the horizon are not read.
+    """
+    if np.isnan(durations).any():
+        raise SimulationError("NaN event time or duration in trace")
+    if durations.size and float(durations.min()) < 0.0:
+        raise SimulationError(
+            f"negative session duration in trace: {float(durations.min())}"
+        )
+
+
+def _check_horizon(horizon: float) -> None:
+    """Refuse a horizon before the calendar's start at time 0."""
+    if horizon < 0.0:
+        raise SimulationError(f"horizon {horizon} precedes now=0.0")
 
 
 def _empty_trace() -> IndexedTrace:
@@ -192,9 +304,11 @@ class IndexedVideoSim:
 
     Drives one policy over one trace entirely on the indexed arrays:
     admissions and departures are CSR-row operations, per-user utility
-    integrates columnar, and replay walks one pre-sorted event array.
-    Reports are float-identical to the dict engine's (see module
-    docstring).
+    integrates columnar, and replay visits only decision points and
+    live departures.  Reports are float-identical to the dict engine's
+    (see module docstring).  Worst case (every arrival a decision —
+    tiny sessions or a catalog larger than the trace) costs one heap
+    push and pop per decision on top of the policy call.
 
     Parameters
     ----------
@@ -272,13 +386,13 @@ class IndexedVideoSim:
         self.policy_violations += int(np.count_nonzero(~fits))
         return users[fits], user_pairs[fits]
 
-    def _on_arrival(self, position: int, k: int, now: float) -> None:
-        view = self.view
-        if view.active_mask[k]:
-            return  # already multicast; no new decision
+    def _on_arrival(self, position: int, k: int, now: float) -> bool:
+        """Offer inactive stream ``k`` to the policy; returns whether it
+        was admitted.  The driver only pops arrivals of streams not
+        currently carried, so every call is a decision."""
         self.offered += 1
-        receivers = np.asarray(self.policy.on_offer_indexed(k, view), dtype=np.int64)
-        self._admit(position, k, now, receivers)
+        receivers = self.policy.on_offer_indexed(k, self.view)
+        return self._admit(position, k, now, np.asarray(receivers, dtype=np.int64))
 
     def _admit(
         self, position: int, k: int, now: float, receivers: np.ndarray
@@ -286,9 +400,9 @@ class IndexedVideoSim:
         """Commit one policy answer; returns whether sim state changed.
 
         Everything after the policy call of :meth:`_on_arrival`, split
-        out so the batched replay kernel can apply precomputed group
-        answers (:class:`~repro.sim.kernel.BatchedVideoSim`) through the
-        exact same guard + accounting sequence.
+        out so the decision-map driver of
+        :class:`~repro.sim.kernel.BatchedVideoSim` applies mapped
+        answers through the exact same guard + accounting sequence.
         """
         view = self.view
         users, pairs = self._clip_to_feasible(k, receivers)
@@ -312,10 +426,8 @@ class IndexedVideoSim:
         return True
 
     def _on_departure(self, position: int, k: int, now: float) -> None:
-        session = self._sessions.pop(position, None)
-        if session is None:
-            return  # proposal was rejected or skipped: nothing departs
-        users, pairs, weights = session
+        """Depart the live session admitted at trace ``position``."""
+        users, pairs, weights = self._sessions.pop(position)
         idx = self.idx
         view = self.view
         view.deactivate_index(k)
@@ -335,30 +447,28 @@ class IndexedVideoSim:
 
     def _prepare_trace(
         self, trace: "IndexedTrace | list", horizon: float
-    ) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
-        """Lower, horizon-filter and sanity-check a trace.
+    ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """Lower, sanity-check and horizon-filter a trace.
 
-        Returns ``(times, streams, durations, departures)`` with arrival
-        times at most ``horizon``.  Rejects NaN times/durations and
-        negative durations loudly (the dict engine refuses to schedule
-        them; silently dropping or never departing would diverge).
+        Returns ``(times, streams, departures)`` with arrival
+        times at most ``horizon``.  Everything the dict engine refuses
+        fails as loudly here: a negative horizon, NaN or negative
+        arrival times, NaN or negative durations of arrivals within the
+        horizon (:class:`SimulationError`), and unknown stream indices
+        (:class:`ValidationError`).
         """
         idx = self.idx
         if not isinstance(trace, IndexedTrace):
             trace = IndexedTrace.from_events(idx, trace)
-        if np.isnan(trace.times).any() or np.isnan(trace.durations).any():
-            raise SimulationError("NaN event time or duration in trace")
+        _check_horizon(horizon)
+        _check_arrival_times(trace.times)
+        _check_stream_indices(trace.streams, idx.num_streams)
         keep = trace.times <= horizon
         times = trace.times[keep]
         streams = trace.streams[keep]
         durations = trace.durations[keep]
-        if durations.size and float(durations.min()) < 0.0:
-            # The dict engine refuses to schedule into the past; fail as
-            # loudly here instead of silently never departing the session.
-            raise SimulationError(
-                f"negative session duration in trace: {float(durations.min())}"
-            )
-        return times, streams, durations, times + durations
+        _check_durations(durations)
+        return times, streams, times + durations
 
     def run_trace(
         self, trace: "IndexedTrace | list", horizon: float
@@ -366,21 +476,211 @@ class IndexedVideoSim:
         """Replay a pre-drawn trace up to ``horizon`` and report.
 
         Accepts an :class:`IndexedTrace` or a ``SessionEvent`` list
-        (lowered on entry).
+        (lowered on entry); the whole trace is one replay window.
         """
-        times, streams, durations, departures = self._prepare_trace(trace, horizon)
-        count = int(times.shape[0])
-        for code in merged_replay_order(times, departures, horizon):
-            position = int(code)
-            if position < count:
-                self._on_arrival(
-                    position, int(streams[position]), float(times[position])
+        times, streams, departures = self._prepare_trace(trace, horizon)
+        if times.shape[0]:
+            self._replay_window(times, streams, departures, horizon, [], {}, 0, None)
+        return self._build_report(horizon)
+
+    def _window_setup(
+        self,
+        times: np.ndarray,
+        streams: np.ndarray,
+        heap: list,
+        resident: "dict[int, float]",
+        offset: int,
+    ) -> "tuple[np.ndarray, np.ndarray, list, list]":
+        """Group one window's arrivals and seed its heap candidates.
+
+        Per-stream arrival groups in CSR layout: stream k's arrivals are
+        ``sorter[indptr[k]:indptr[k + 1]]`` (window-local positions),
+        sorted by ``(time, position)`` — the sorts are stable, so equal
+        times keep trace order, reproducing the calendar's FIFO
+        tie-breaking.  Drawn traces arrive time-sorted already, where
+        grouping needs only the cheaper single-key radix argsort.
+
+        The heap holds only next-interesting events, keyed by the
+        replay-order tuple ``(time, kind, arrival_time, global trace
+        position)`` — the third key orders same-instant departures by
+        *admission*, exactly like the calendar's sequence numbers — with
+        one candidate arrival per stream, plus the departure of each
+        live session.  The trailing stream field is payload, never
+        compared (global positions are unique within a kind).
+
+        Window stitching happens here: each stream in ``resident`` has a
+        live session (admitted in an earlier window), so its arrivals up
+        to the session's departure time are no-ops by construction — its
+        cursor starts past them, restoring the invariant that every
+        candidate arrival's stream is inactive when it pops.  Carried
+        departure entries stay in ``heap`` (re-heapified with the new
+        candidates) and their global positions key the same session
+        records :meth:`_admit` wrote, so a boundary never reorders or
+        re-fires anything.
+
+        Returns ``(sorter, times_by_stream, cursor, bounds)``.
+        """
+        num_streams = self.idx.num_streams
+        if times.shape[0] < 2 or bool(np.all(times[1:] >= times[:-1])):
+            sorter = np.argsort(streams, kind="stable")
+        else:
+            sorter = np.lexsort((times, streams))
+        times_by_stream = times[sorter]
+        indptr = np.zeros(num_streams + 1, dtype=np.int64)
+        np.cumsum(np.bincount(streams, minlength=num_streams), out=indptr[1:])
+        starts = indptr[:-1].copy()
+        for k, depart in resident.items():
+            lo, hi = int(starts[k]), int(indptr[k + 1])
+            if lo < hi:
+                starts[k] = lo + int(
+                    np.searchsorted(times_by_stream[lo:hi], depart, side="right")
                 )
-            else:
-                position -= count
-                self._on_departure(
-                    position, int(streams[position]), float(departures[position])
+        heads = np.flatnonzero(starts < indptr[1:])
+        head_positions = sorter[starts[heads]]
+        head_times = times[head_positions].tolist()
+        heap.extend(
+            zip(
+                head_times,
+                (_ARRIVAL,) * heads.shape[0],
+                head_times,
+                (head_positions + offset).tolist(),
+                heads.tolist(),
+            )
+        )
+        heapq.heapify(heap)
+        return sorter, times_by_stream, starts.tolist(), indptr[1:].tolist()
+
+    def _replay_window(
+        self,
+        times: np.ndarray,
+        streams: np.ndarray,
+        departures: np.ndarray,
+        horizon: float,
+        heap: list,
+        resident: "dict[int, float]",
+        offset: int,
+        boundary: "float | None",
+    ) -> None:
+        """Drive the decision-point loop over one window of the replay order.
+
+        ``times``/``streams``/``departures`` are the window's slice of
+        the horizon-filtered trace, whose global positions are
+        ``offset + local``; monolithic replay is the single-window case
+        (``offset=0``, ``boundary=None``, empty carried state).  Events
+        with key time ``>= boundary`` stay in ``heap`` for the next
+        window — a departure landing *exactly* on the boundary defers,
+        which preserves the monolithic order because arrivals sort
+        before departures at a tie instant.  ``resident`` maps each live
+        stream to its scheduled departure time
+        (:data:`_BEYOND_HORIZON` when the session outlives the horizon)
+        and is maintained here for :meth:`_window_setup` to stitch the
+        next window.
+        """
+        sorter, times_by_stream, cursor, bounds = self._window_setup(
+            times, streams, heap, resident, offset
+        )
+        push, pop = heapq.heappush, heapq.heappop
+        on_arrival, on_departure = self._on_arrival, self._on_departure
+        while heap and (boundary is None or heap[0][0] < boundary):
+            time, kind, _scheduled, position, k = pop(heap)
+            if kind:
+                on_departure(position, k, time)
+                del resident[k]
+                continue
+            lo = cursor[k] + 1
+            hi = bounds[k]
+            if on_arrival(position, k, time):
+                departure_time = float(departures[position - offset])
+                if departure_time <= horizon:
+                    resident[k] = departure_time
+                    push(heap, (departure_time, _DEPARTURE, time, position, k))
+                    # Admitted: every arrival of k at a time <= the
+                    # departure fires while the stream is still carried
+                    # (arrivals precede the departure at the tie instant)
+                    # — skip the whole no-op run with one searchsorted.
+                    lo += int(
+                        np.searchsorted(
+                            times_by_stream[lo:hi], departure_time, side="right"
+                        )
+                    )
+                else:  # departs beyond the horizon: carried to the end
+                    resident[k] = _BEYOND_HORIZON
+                    lo = hi
+            cursor[k] = lo
+            if lo < hi:
+                local = int(sorter[lo])
+                arrival_time = float(times[local])
+                push(heap, (arrival_time, _ARRIVAL, arrival_time, local + offset, k))
+
+    def run_store(
+        self,
+        store,
+        horizon: float,
+        window: "float | None" = None,
+    ) -> SimulationReport:
+        """Replay an on-disk :class:`~repro.sim.store.TraceStore` windowed.
+
+        With a ``window`` (explicit argument or ``$REPRO_STORE_WINDOW``
+        via :func:`~repro.config.resolve_store_window`), the store's
+        horizon prefix is streamed in ``[w0, w1)`` spans of that many
+        time units — peak memory is a few window-sized arrays, the
+        mmap'd pages stream through — with live sessions handed across
+        each boundary as resident state, so the report is
+        **float-identical** to :meth:`run_trace` on the same store (or
+        on the equivalent in-RAM trace).  Requires a time-sorted store;
+        without a window this simply delegates to the monolithic
+        :meth:`run_trace`.  Each streamed window gets the loudness
+        checks :meth:`_prepare_trace` applies to a whole trace (the
+        store writer refuses such events at append time already; this
+        guards hand-built column files).
+        """
+        window = resolve_store_window(window)
+        if window is None:
+            return self.run_trace(store, horizon)
+        if not getattr(store, "sorted", False):
+            raise ValidationError(
+                "windowed replay needs a time-sorted store; this one is "
+                "flagged unsorted — rewrite it sorted or replay "
+                "monolithically (window=None)"
+            )
+        _check_horizon(horizon)
+        times_all = store.times
+        streams_all = store.streams
+        durations_all = store.durations
+        _check_stream_indices(streams_all, self.idx.num_streams)
+        end = int(np.searchsorted(times_all, horizon, side="right"))
+        heap: list = []
+        resident: "dict[int, float]" = {}
+        no_times = np.empty(0)
+        no_streams = np.empty(0, dtype=np.int64)
+        lo = 0
+        widx = 0
+        while lo < end:
+            ahead = int(float(times_all[lo]) // window)
+            if ahead > widx:
+                # Fast-forward over event-free windows in one step,
+                # still firing the carried departures inside them.
+                self._replay_window(
+                    no_times, no_streams, no_times, horizon,
+                    heap, resident, lo, ahead * window,
                 )
+                widx = ahead
+            w1 = (widx + 1) * window
+            hi = lo + int(np.searchsorted(times_all[lo:end], w1, side="left"))
+            t_w = np.asarray(times_all[lo:hi])
+            d_w = np.asarray(durations_all[lo:hi])
+            _check_arrival_times(t_w)
+            _check_durations(d_w)
+            self._replay_window(
+                t_w, np.asarray(streams_all[lo:hi]), t_w + d_w,
+                horizon, heap, resident, lo, w1,
+            )
+            lo = hi
+            widx += 1
+        # Drain: departures at or beyond the last boundary.
+        self._replay_window(
+            no_times, no_streams, no_times, horizon, heap, resident, end, None
+        )
         return self._build_report(horizon)
 
     def _build_report(self, horizon: float) -> SimulationReport:

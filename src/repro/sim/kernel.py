@@ -1,78 +1,38 @@
-"""Chunked event-dispatch kernel: trace replay at 10⁶-event scale.
+"""Decision-map replay for order-free policies (``engine="batched"``).
 
-:class:`~repro.sim.indexed.IndexedVideoSim` already replays a pre-drawn
-trace on arrays, but its driver still pays one Python method call per
-event — two million dispatches for a million-session trace, most of
-which do nothing: an arrival proposing a stream that is already
-multicast is skipped, and the departure of a proposal that was never
-admitted departs nothing.  This module replays the same
-:class:`~repro.sim.indexed.IndexedTrace` by segmenting the replay order
-into maximal no-decision runs that are skipped wholesale, touching
-Python only at the events that can change state:
+The simulation engines, all float-identical on a common trace:
 
-- **decision points** — arrivals whose stream is not currently carried
-  (the policy is offered the stream; this is the only place policy code
-  runs, exactly as in the per-event engines);
-- **live departures** — the departure of an *admitted* session (resource
-  returns and utility-integration steps).
+===========  ==========================================  ================
+engine       replay driver                                policy calls
+===========  ==========================================  ================
+``dict``     heap calendar over string ids (the oracle)   one per decision
+``indexed``  decision-point kernel on the index arrays    one per decision
+             (:class:`~repro.sim.indexed.IndexedVideoSim`,
+             the default)
+``batched``  the same kernel plus a decision map for      one batched call
+             ``batch_order_free`` policies                per state epoch
+===========  ==========================================  ================
 
-The replay order itself is the one
-:func:`~repro.sim.engine.merged_replay_order` defines — ascending
-``(time, kind, schedule order)`` with arrivals (kind 0) before
-departures (kind 1) at the same instant and same-instant departures in
-admission order — but the kernel never
-materializes it: a 10⁶-event trace would spend more time in that
-2·E-element multi-key lexsort than in the decisions themselves.
-Instead one vectorized pass groups each stream's arrivals in CSR layout
-(sorted by ``(time, position)``), and a heap of *next-interesting* keys
-— one candidate arrival per stream plus the departures of live
-sessions, ordered by the same ``(time, kind, arrival_time,
-position)`` tuples —
-yields interesting events directly in replay order.  When a decision
-*admits* a stream, every arrival of that stream up to the session's
-departure time is a no-op by construction, so the kernel advances the
-stream's cursor past the whole run with one ``searchsorted`` instead of
-walking it event by event; when it *rejects*, the very next arrival of
-the stream is the next candidate.  Replay cost is therefore one
-``O(E log E)`` numpy grouping pass plus Python work proportional to the
-number of *interesting* events — for production-scale traces (catalog
-≪ events, sessions spanning many inter-arrival times) that is orders of
-magnitude below ``2·E``.
+:class:`BatchedVideoSim` inherits the decision-point kernel of
+:class:`~repro.sim.indexed.IndexedVideoSim` unchanged and differs only
+for policies that declare
+:attr:`~repro.sim.policies.AdmissionPolicy.batch_order_free` — answers
+that are pure functions of the resource state.  Between state changes
+(an admit or a live departure) such a policy's answers cannot change,
+and a rejection mutates nothing, so one
+:meth:`~repro.sim.policies.AdmissionPolicy.on_offer_batch` call over
+the pending arrivals' distinct streams yields a map ``stream -> answer``
+that also decides every repeat arrival of those streams until the state
+moves.  Rejection runs then replay with no policy work at all.  Every
+other policy — stateful, randomized or a third-party string-id policy —
+goes straight to the inherited per-offer driver, so it sees the
+identical ``on_offer_indexed`` call sequence as under ``indexed``.
 
-**Parity contract.**  Interesting events fire in exactly the replay
-order the per-event engines use, through the *inherited*
-:meth:`~repro.sim.indexed.IndexedVideoSim._on_arrival` /
-:meth:`~repro.sim.indexed.IndexedVideoSim._on_departure` handlers with
-identical arguments, so every float accumulates in the same IEEE order
-and the :class:`~repro.sim.metrics.SimulationReport` is bit-identical
-to the ``dict`` and ``indexed`` engines on any common trace
-(``tests/test_sim_indexed.py`` asserts this with ``==``).  Skipped
-events touch no counter and no integrator in any engine, which is what
-makes skipping them exact rather than approximate.
-
-Select it per call (``engine="chunked"`` on
-:func:`~repro.sim.simulation.simulate_trace` /
-:func:`~repro.sim.simulation.compare_policies`, ``--engine chunked`` on
-the CLI) or globally via ``$REPRO_SIM_ENGINE``; the default engine
-stays ``indexed``.  ``benchmarks/bench_e15_kernel.py`` asserts the ≥ 5×
-floor over the per-event indexed engine at 10⁶ events.
-
-**Windowed replay of on-disk stores.**  Both kernels also replay a
-time-sorted :class:`~repro.sim.store.TraceStore` window by window
-(:meth:`ChunkedVideoSim.run_store`): the driver is parameterized over a
-``[w0, w1)`` span of the replay order, and the only state crossing a
-boundary is the carried heap of scheduled live departures plus a
-*resident* map ``stream -> departure time`` of the sessions spanning
-the edge.  At each window start the resident map advances every live
-stream's arrival cursor past the arrivals its session already covers —
-restoring the invariant that a candidate arrival's stream is inactive —
-and the heap keys use *global* trace positions, so each window pops
-events in exactly the order the monolithic heap would and every handler
-fires with identical arguments: windowed replay is **float-identical**
-to monolithic replay (``tests/test_store.py`` asserts ``==`` across
-window sizes and engines).  Peak memory is a few window-sized arrays —
-the mmap'd store pages stream through — which is what makes 10⁸-event
-traces replayable in bounded RSS (``benchmarks/bench_e17_store.py``).
+Reports stay bit-identical to every other engine on a common trace
+(``tests/test_sim_indexed.py`` asserts ``==``), including windowed
+:meth:`~repro.sim.indexed.IndexedVideoSim.run_store` replay.
+``benchmarks/bench_e16_batched.py`` asserts the ≥ 3× floor over
+``indexed`` on a rejection-heavy threshold trace of ~10⁶ events.
 """
 
 from __future__ import annotations
@@ -81,327 +41,23 @@ import heapq
 
 import numpy as np
 
-from repro.config import resolve_store_window
-from repro.exceptions import SimulationError, ValidationError
-from repro.sim.indexed import IndexedTrace, IndexedVideoSim
-from repro.sim.metrics import SimulationReport
+from repro.sim.indexed import _ARRIVAL, _BEYOND_HORIZON, _DEPARTURE, IndexedVideoSim
 
-#: Event-kind key component: arrivals tie-break before departures at
-#: the same instant, exactly like the heap calendar and
-#: :func:`~repro.sim.engine.merged_replay_order`.
-_ARRIVAL, _DEPARTURE = 0, 1
-
-#: Resident-map departure time of a session that outlives the horizon:
-#: no departure is scheduled (matching the per-event engines), but every
-#: later arrival of the stream must still be skipped.
-_BEYOND_HORIZON = float("inf")
-
-
-class ChunkedVideoSim(IndexedVideoSim):
-    """Chunked-dispatch replay of a pre-drawn trace (see module docstring).
-
-    A drop-in :class:`~repro.sim.indexed.IndexedVideoSim`: construction,
-    policy binding, event handlers and reporting are inherited
-    unchanged; only :meth:`run_trace`'s driver differs.  Worst case
-    (every arrival a decision — tiny sessions or a catalog larger than
-    the trace) degrades gracefully to per-decision heap work comparable
-    to the indexed engine's per-event cost, never asymptotically worse.
-    """
-
-    def run_trace(
-        self, trace: "IndexedTrace | list", horizon: float
-    ) -> SimulationReport:
-        """Replay a pre-drawn trace up to ``horizon`` and report.
-
-        Accepts an :class:`~repro.sim.indexed.IndexedTrace` or a
-        ``SessionEvent`` list (lowered on entry), like the parent.
-        """
-        times, streams, durations, departures = self._prepare_trace(trace, horizon)
-        if times.shape[0]:
-            self._replay_chunked(times, streams, departures, horizon)
-        return self._build_report(horizon)
-
-    def _replay_chunked(
-        self,
-        times: np.ndarray,
-        streams: np.ndarray,
-        departures: np.ndarray,
-        horizon: float,
-    ) -> None:
-        """Monolithic replay: one window spanning the whole trace."""
-        self._replay_window(times, streams, departures, horizon, [], {}, 0, None)
-
-    def _window_setup(
-        self,
-        times: np.ndarray,
-        streams: np.ndarray,
-        heap: list,
-        resident: "dict[int, float]",
-        offset: int,
-    ) -> "tuple[np.ndarray, np.ndarray, list, list]":
-        """Group one window's arrivals and seed its heap candidates.
-
-        Per-stream arrival groups in CSR layout: stream k's arrivals are
-        ``sorter[indptr[k]:indptr[k + 1]]`` (window-local positions),
-        sorted by ``(time, position)`` — the sorts are stable, so equal
-        times keep trace order, reproducing the calendar's FIFO
-        tie-breaking.  Drawn traces arrive time-sorted already, where
-        grouping needs only the cheaper single-key radix argsort.
-
-        The heap holds only next-interesting events, keyed by the
-        replay-order tuple ``(time, kind, arrival_time, global trace
-        position)`` — the third key orders same-instant departures by
-        *admission*, exactly like the calendar's sequence numbers — with
-        one candidate arrival per stream, plus the departure of each
-        live session.  The trailing stream field is payload, never
-        compared (global positions are unique within a kind).
-
-        Window stitching happens here: each stream in ``resident`` has a
-        live session (admitted in an earlier window), so its arrivals up
-        to the session's departure time are no-ops by construction — its
-        cursor starts past them, restoring the invariant that every
-        candidate arrival's stream is inactive when it pops.  Carried
-        departure entries stay in ``heap`` (re-heapified with the new
-        candidates) and their global positions key the same session
-        records :meth:`~repro.sim.indexed.IndexedVideoSim._admit` wrote,
-        so a boundary never reorders or re-fires anything.
-
-        Returns ``(sorter, times_by_stream, cursor, bounds)``.
-        """
-        num_streams = self.idx.num_streams
-        if times.shape[0] < 2 or bool(np.all(times[1:] >= times[:-1])):
-            sorter = np.argsort(streams, kind="stable")
-        else:
-            sorter = np.lexsort((times, streams))
-        times_by_stream = times[sorter]
-        indptr = np.zeros(num_streams + 1, dtype=np.int64)
-        np.cumsum(np.bincount(streams, minlength=num_streams), out=indptr[1:])
-        starts = indptr[:-1].copy()
-        for k, depart in resident.items():
-            lo, hi = int(starts[k]), int(indptr[k + 1])
-            if lo < hi:
-                starts[k] = lo + int(
-                    np.searchsorted(times_by_stream[lo:hi], depart, side="right")
-                )
-        heads = np.flatnonzero(starts < indptr[1:])
-        head_positions = sorter[starts[heads]]
-        head_times = times[head_positions].tolist()
-        heap.extend(
-            zip(
-                head_times,
-                (_ARRIVAL,) * heads.shape[0],
-                head_times,
-                (head_positions + offset).tolist(),
-                heads.tolist(),
-            )
-        )
-        heapq.heapify(heap)
-        return sorter, times_by_stream, starts.tolist(), indptr[1:].tolist()
-
-    def _replay_window(
-        self,
-        times: np.ndarray,
-        streams: np.ndarray,
-        departures: np.ndarray,
-        horizon: float,
-        heap: list,
-        resident: "dict[int, float]",
-        offset: int,
-        boundary: "float | None",
-    ) -> None:
-        """Drive the decision-point loop over one window of the replay order.
-
-        ``times``/``streams``/``departures`` are the window's slice of
-        the horizon-filtered trace, whose global positions are
-        ``offset + local``; monolithic replay is the single-window case
-        (``offset=0``, ``boundary=None``, empty carried state).  Events
-        with key time ``>= boundary`` stay in ``heap`` for the next
-        window — a departure landing *exactly* on the boundary defers,
-        which preserves the monolithic order because arrivals sort
-        before departures at a tie instant.  ``resident`` maps each live
-        stream to its scheduled departure time
-        (:data:`_BEYOND_HORIZON` when the session outlives the horizon)
-        and is maintained here for :meth:`_window_setup` to stitch the
-        next window.
-        """
-        sorter, times_by_stream, cursor, bounds = self._window_setup(
-            times, streams, heap, resident, offset
-        )
-        push, pop = heapq.heappush, heapq.heappop
-        active = self.view.active_mask
-        on_arrival, on_departure = self._on_arrival, self._on_departure
-        while heap and (boundary is None or heap[0][0] < boundary):
-            time, kind, _scheduled, position, k = pop(heap)
-            if kind:
-                on_departure(position, k, time)
-                del resident[k]
-                continue
-            on_arrival(position, k, time)
-            lo = cursor[k] + 1
-            hi = bounds[k]
-            if active[k]:
-                departure_time = float(departures[position - offset])
-                if departure_time <= horizon:
-                    resident[k] = departure_time
-                    push(heap, (departure_time, _DEPARTURE, time, position, k))
-                    # Admitted: every arrival of k at a time <= the
-                    # departure fires while the stream is still carried
-                    # (arrivals precede the departure at the tie instant)
-                    # — skip the whole no-op run with one searchsorted.
-                    lo += int(
-                        np.searchsorted(
-                            times_by_stream[lo:hi], departure_time, side="right"
-                        )
-                    )
-                else:  # departs beyond the horizon: carried to the end
-                    resident[k] = _BEYOND_HORIZON
-                    lo = hi
-            cursor[k] = lo
-            if lo < hi:
-                local = int(sorter[lo])
-                arrival_time = float(times[local])
-                push(heap, (arrival_time, _ARRIVAL, arrival_time, local + offset, k))
-
-    @staticmethod
-    def _check_window(times: np.ndarray, durations: np.ndarray) -> None:
-        """Per-window loudness checks mirroring ``_prepare_trace``.
-
-        Windowed store replay never materializes the full columns, so
-        the NaN/negative-duration rejection runs on each streamed window
-        instead (the store writer already refuses such events at append
-        time; this guards hand-built column files).
-        """
-        if np.isnan(times).any() or np.isnan(durations).any():
-            raise SimulationError("NaN event time or duration in trace")
-        if durations.size and float(durations.min()) < 0.0:
-            raise SimulationError(
-                f"negative session duration in trace: {float(durations.min())}"
-            )
-
-    def run_store(
-        self,
-        store,
-        horizon: float,
-        window: "float | None" = None,
-    ) -> SimulationReport:
-        """Replay an on-disk :class:`~repro.sim.store.TraceStore` windowed.
-
-        With a ``window`` (explicit argument or ``$REPRO_STORE_WINDOW``
-        via :func:`~repro.config.resolve_store_window`), the store's
-        horizon prefix is streamed in ``[w0, w1)`` spans of that many
-        time units — peak memory is a few window-sized arrays, the
-        mmap'd pages stream through — with live sessions handed across
-        each boundary as resident state, so the report is
-        **float-identical** to :meth:`run_trace` on the same store (or
-        on the equivalent in-RAM trace).  Requires a time-sorted store;
-        without a window this simply delegates to the monolithic
-        :meth:`run_trace`.
-        """
-        window = resolve_store_window(window)
-        if window is None:
-            return self.run_trace(store, horizon)
-        if not getattr(store, "sorted", False):
-            raise ValidationError(
-                "windowed replay needs a time-sorted store; this one is "
-                "flagged unsorted — rewrite it sorted or replay "
-                "monolithically (window=None)"
-            )
-        times_all = store.times
-        streams_all = store.streams
-        durations_all = store.durations
-        end = int(np.searchsorted(times_all, horizon, side="right"))
-        heap: list = []
-        resident: "dict[int, float]" = {}
-        no_times = np.empty(0)
-        no_streams = np.empty(0, dtype=np.int64)
-        if end:
-            anchor = min(0.0, float(times_all[0]))
-            lo = 0
-            widx = 0
-            while lo < end:
-                ahead = int((float(times_all[lo]) - anchor) // window)
-                if ahead > widx:
-                    # Fast-forward over event-free windows in one step,
-                    # still firing the carried departures inside them.
-                    self._replay_window(
-                        no_times, no_streams, no_times, horizon,
-                        heap, resident, lo, anchor + ahead * window,
-                    )
-                    widx = ahead
-                w1 = anchor + (widx + 1) * window
-                hi = lo + int(np.searchsorted(times_all[lo:end], w1, side="left"))
-                t_w = np.asarray(times_all[lo:hi])
-                d_w = np.asarray(durations_all[lo:hi])
-                self._check_window(t_w, d_w)
-                self._replay_window(
-                    t_w, np.asarray(streams_all[lo:hi]), t_w + d_w,
-                    horizon, heap, resident, lo, w1,
-                )
-                lo = hi
-                widx += 1
-        # Drain: departures at or beyond the last boundary.
-        self._replay_window(
-            no_times, no_streams, no_times, horizon, heap, resident, end, None
-        )
-        return self._build_report(horizon)
-
-
-#: Batched-replay group sizing: first group width, then adaptive
-#: between :data:`_MIN_GROUP` and :data:`_MAX_GROUP` (grow ×2 after a
-#: fully consumed admit-free group, shrink toward the consumed prefix
-#: when an admit cuts a group short).
+#: Decision-map group sizing: first group width, then adaptive between
+#: :data:`_MIN_GROUP` and :data:`_MAX_GROUP` (grow ×2 when an unmapped
+#: stream ends an epoch, halve when an admit does).
 _INITIAL_GROUP = 16
 _MIN_GROUP = 4
 _MAX_GROUP = 1024
 
 
-class BatchedVideoSim(ChunkedVideoSim):
-    """Chunked replay with batched policy decisions (``engine="batched"``).
+class BatchedVideoSim(IndexedVideoSim):
+    """Decision-point replay with a decision map for order-free policies.
 
-    The chunked kernel already touches Python only at decision points,
-    but still answers them one at a time — one
-    :meth:`~repro.sim.policies.AdmissionPolicy.on_offer_indexed` call
-    per decision.  On rejection-heavy traces those decisions come in
-    long departure-free runs, and until one of them *admits*, nothing
-    any of them can observe changes: rejections mutate no resource
-    state.  This driver therefore pops maximal groups of consecutive
-    arrivals off the heap and answers each group with a single
-    :meth:`~repro.sim.policies.AdmissionPolicy.on_offer_batch` call,
-    consuming the answers in replay order through the per-event engines'
-    own admission path (:meth:`~repro.sim.indexed.IndexedVideoSim._admit`)
-    and stopping the group at its first admit — the remaining arrivals
-    are pushed back and re-grouped against the post-admit state.
-
-    Two invariants make the grouping exact rather than approximate:
-
-    - group members have **distinct, inactive** streams (the heap holds
-      one candidate arrival per stream, and an admitted stream's next
-      candidate always lies beyond its departure), so the group answers
-      are independent of each other until an admit;
-    - a member is only added while its event key precedes every already
-      popped member's *successor* arrival — a rejection pushes that
-      successor, and it must not be able to overtake any arrival the
-      batch has already answered — so consumption order equals the
-      sequential replay order even for stateful policies (RNG draws,
-      allocator charges).
-
-    Policies that declare
-    :attr:`~repro.sim.policies.AdmissionPolicy.batch_order_free` (their
-    answers are pure functions of the resource state) get a stronger
-    driver: the successor cut is unnecessary because call order among
-    rejections is unobservable, and one group's answers stay valid for
-    *every* later arrival of the same streams until state changes —
-    rejections mutate nothing, so a rejected stream's repeat arrival
-    provably gets the same empty answer.  The group's answers therefore
-    become a decision map that replays whole rejection runs in exact
-    event order with no policy calls at all, stopping at the first
-    admit, live departure, or unmapped stream.
-
-    Reports stay bit-identical to every other engine on a common trace
-    (``tests/test_sim_indexed.py`` asserts ``==``); the group width
-    adapts to the trace's admit density.
-    ``benchmarks/bench_e16_batched.py`` asserts the ≥ 3× floor over the
-    chunked engine on a decision-heavy 10⁶-event trace.
+    A drop-in :class:`~repro.sim.indexed.IndexedVideoSim`: construction,
+    policy binding, event handlers, windowing and reporting are
+    inherited; only :meth:`_replay_window` differs, and only when the
+    bound policy is ``batch_order_free`` (see module docstring).
     """
 
     def _replay_window(
@@ -415,133 +71,18 @@ class BatchedVideoSim(ChunkedVideoSim):
         offset: int,
         boundary: "float | None",
     ) -> None:
-        """Group-decision driver over one window of the replay order.
+        """Decision-map driver over one window of the replay order.
 
-        Same windowing contract as the chunked driver's
-        :meth:`ChunkedVideoSim._replay_window`; grouping never crosses a
-        boundary (every in-window arrival's key precedes it), and
-        because :meth:`~repro.sim.policies.AdmissionPolicy.on_offer_batch`
-        answers are consumed strictly in replay order — the stateful
-        default answers a prefix sequentially, the vectorized overrides
-        are pure per-row functions of the resource state — a boundary
-        cutting a group short cannot change any decision, only how the
-        calls are batched.
-        """
-        sorter, times_by_stream, cursor, bounds = self._window_setup(
-            times, streams, heap, resident, offset
-        )
-        if self.policy.batch_order_free:
-            return self._drive_order_free(
-                times, streams, departures, horizon,
-                sorter, times_by_stream, heap, cursor, bounds,
-                resident, offset, boundary,
-            )
-        push, pop = heapq.heappush, heapq.heappop
-        active = self.view.active_mask
-        on_departure = self._on_departure
-        on_offer_batch = self.policy.on_offer_batch
-        group_cap = _INITIAL_GROUP
-
-        def successor_key(k: int):
-            """Heap key of stream ``k``'s next arrival after its current
-            candidate (the entry a rejection of the candidate pushes)."""
-            nxt = cursor[k] + 1
-            if nxt >= bounds[k]:
-                return None
-            t = float(times_by_stream[nxt])
-            return (t, _ARRIVAL, t, int(sorter[nxt]) + offset, k)
-
-        while heap and (boundary is None or heap[0][0] < boundary):
-            entry = pop(heap)
-            if entry[1]:
-                on_departure(entry[3], entry[4], entry[0])
-                del resident[entry[4]]
-                continue
-            # Form the arrival group: consecutive heap arrivals, cut
-            # before any member's successor could overtake the batch.
-            group = [entry]
-            limit = successor_key(entry[4])
-            while len(group) < group_cap and heap:
-                top = heap[0]
-                if top[1] or (limit is not None and not (top < limit)):
-                    break
-                member = pop(heap)
-                group.append(member)
-                succ = successor_key(member[4])
-                if succ is not None and (limit is None or succ < limit):
-                    limit = succ
-
-            ks = np.fromiter(
-                (e[4] for e in group), dtype=np.int64, count=len(group)
-            )
-            answers = on_offer_batch(ks, self.view)
-            consumed = 0
-            changed = False
-            for member, answer in zip(group, answers):
-                time, _kind, _scheduled, position, k = member
-                consumed += 1
-                self.offered += 1
-                changed = self._admit(
-                    position, k, time, np.asarray(answer, dtype=np.int64)
-                )
-                lo = cursor[k] + 1
-                hi = bounds[k]
-                if active[k]:
-                    departure_time = float(departures[position - offset])
-                    if departure_time <= horizon:
-                        resident[k] = departure_time
-                        push(heap, (departure_time, _DEPARTURE, time, position, k))
-                        lo += int(
-                            np.searchsorted(
-                                times_by_stream[lo:hi], departure_time, side="right"
-                            )
-                        )
-                    else:  # departs beyond the horizon: carried to the end
-                        resident[k] = _BEYOND_HORIZON
-                        lo = hi
-                cursor[k] = lo
-                if lo < hi:
-                    local = int(sorter[lo])
-                    arrival_time = float(times[local])
-                    push(
-                        heap,
-                        (arrival_time, _ARRIVAL, arrival_time, local + offset, k),
-                    )
-                if changed:
-                    break  # answers past an admit were precomputed blind
-            for member in group[consumed:]:
-                push(heap, member)
-            if changed:
-                group_cap = max(_MIN_GROUP, min(group_cap, 2 * consumed))
-            elif consumed == len(group):
-                group_cap = min(group_cap * 2, _MAX_GROUP)
-
-    def _drive_order_free(
-        self,
-        times: np.ndarray,
-        streams: np.ndarray,
-        departures: np.ndarray,
-        horizon: float,
-        sorter: np.ndarray,
-        times_by_stream: np.ndarray,
-        heap: list,
-        cursor: list,
-        bounds: list,
-        resident: "dict[int, float]",
-        offset: int,
-        boundary: "float | None",
-    ) -> None:
-        """Decision-map driver for ``batch_order_free`` policies.
-
-        One batched answer per *state epoch*: between state changes the
-        policy's answers depend only on the (unchanging) resource state,
-        so the group's answers form a map ``stream -> answer`` that also
-        decides every repeat arrival of the same streams.  Events still
-        leave the heap in exact replay order; the map merely replaces
-        per-arrival policy calls, so rejection runs replay with no
-        policy work at all.  The epoch ends at the first admit or live
-        departure (state changes) or at an unmapped stream (the next
-        group answers it first).
+        Same windowing contract as
+        :meth:`~repro.sim.indexed.IndexedVideoSim._replay_window`, which
+        non-order-free policies run unchanged.  For order-free ones, one
+        batched answer covers each *state epoch*: the group's answers
+        form a map ``stream -> answer`` that also decides every repeat
+        arrival of the same streams.  Events still leave the heap in
+        exact replay order; the map merely replaces per-arrival policy
+        calls.  The epoch ends at the first admit or live departure
+        (state changes) or at an unmapped stream (the next group answers
+        it first).
 
         Window boundaries compose freely with the epochs: answers are
         pure functions of the resource state, so a map cut short by the
@@ -550,6 +91,15 @@ class BatchedVideoSim(ChunkedVideoSim):
         the window's own arrivals, whose skipped repeats are counted
         exactly once either way.
         """
+        if not self.policy.batch_order_free:
+            super()._replay_window(
+                times, streams, departures, horizon,
+                heap, resident, offset, boundary,
+            )
+            return
+        sorter, times_by_stream, cursor, bounds = self._window_setup(
+            times, streams, heap, resident, offset
+        )
         push, pop = heapq.heappush, heapq.heappop
         on_departure = self._on_departure
         on_offer_batch = self.policy.on_offer_batch

@@ -240,10 +240,11 @@ class AdmissionPolicy(ABC):
     #: resource state — no RNG, no per-offer memory, no observable call
     #: order.  The batched replay engine exploits this: between state
     #: changes a rejected stream's repeat arrivals provably get the same
-    #: (empty) answer, so whole rejection runs are replayed from one
-    #: batched answer without further policy calls.  Leave False (the
-    #: default) for stateful or randomized policies; a wrong True breaks
-    #: cross-engine report parity.
+    #: (empty) answer, so one :meth:`on_offer_batch` call answers whole
+    #: rejection runs.  Policies that leave it False (the default; right
+    #: for stateful or randomized policies) are driven one
+    #: :meth:`on_offer_indexed` call per decision under every array
+    #: engine.  A wrong True breaks cross-engine report parity.
     batch_order_free = False
 
     def bind(self, instance: MMDInstance) -> None:
@@ -275,23 +276,21 @@ class AdmissionPolicy(ABC):
     def on_offer_batch(
         self, ks: np.ndarray, view: ResourceView
     ) -> "list[np.ndarray]":
-        """Answer a group of arrivals at once; used by ``engine="batched"``.
+        """Answer a group of arrivals at once (order-free policies only).
 
-        The batched replay kernel guarantees the group's streams are
-        distinct, inactive, and separated by no departure, and that the
-        answers' effects cannot interact until one is *admitted*.
-        Returns receiver arrays for a **prefix** of ``ks`` (at least one
-        entry when ``ks`` is nonempty); the caller consumes them in
-        order and, as soon as one changes simulator state, discards the
-        rest and re-offers the unconsumed arrivals.
+        ``engine="batched"`` calls this only for policies declaring
+        :attr:`batch_order_free`, with distinct, inactive streams that
+        no departure separates, and uses the answers as a decision map
+        until the first admit changes the state.  Returns receiver
+        arrays for a **prefix** of ``ks`` (at least one entry when
+        ``ks`` is nonempty); arrivals past the prefix are answered by a
+        later call.
 
         The default implementation answers sequentially through
         :meth:`on_offer_indexed` and stops after its first nonempty
-        answer, so stateful policies (RNG draws, allocator charges) and
-        third-party string-id policies consume offers in the exact
-        order and count the per-event engines would — every answer it
-        computes is always consumed.  Stateless built-ins override this
-        with fully vectorized group answers.
+        answer, so a custom order-free policy that implements only the
+        per-offer API works unchanged.  The stateless built-ins
+        override this with fully vectorized group answers.
         """
         answers: "list[np.ndarray]" = []
         for k in ks:
@@ -407,12 +406,6 @@ class AllocatePolicy(AdmissionPolicy):
     def on_offer_indexed(self, k: int, view: ResourceView) -> np.ndarray:
         assert self._allocator is not None, "bind() was not called"
         return self._allocator.offer_indexed(k)
-
-    def on_offer_batch(
-        self, ks: np.ndarray, view: ResourceView
-    ) -> "list[np.ndarray]":
-        assert self._allocator is not None, "bind() was not called"
-        return self._allocator.offer_batch(ks)
 
     def on_release(self, stream_id: str) -> None:
         assert self._allocator is not None

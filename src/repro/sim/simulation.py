@@ -17,19 +17,17 @@ Three replay engines implement the identical semantics:
 
 - ``engine="dict"`` — :class:`VideoDistributionSim`, the original
   string-keyed event-loop implementation (heap calendar, per-user
-  Python loops);
+  Python loops), kept as the reference oracle;
 - ``engine="indexed"`` (default; ``$REPRO_SIM_ENGINE`` overrides) —
-  :class:`repro.sim.indexed.IndexedVideoSim`, the array-native engine,
-  which reproduces the dict engine's reports float-for-float on any
-  common trace (``tests/test_sim_indexed.py``);
-- ``engine="chunked"`` — :class:`repro.sim.kernel.ChunkedVideoSim`,
-  the chunked event-dispatch kernel for 10⁶-event traces: no-decision
-  event runs are skipped wholesale, Python fires only at policy
-  decisions and live departures, and reports stay float-identical;
+  :class:`repro.sim.indexed.IndexedVideoSim`, the array-native
+  decision-point kernel: no-decision event runs are skipped wholesale,
+  Python fires only at policy decisions and live departures, and
+  reports reproduce the dict engine's float-for-float on any common
+  trace (``tests/test_sim_indexed.py``);
 - ``engine="batched"`` — :class:`repro.sim.kernel.BatchedVideoSim`,
-  the chunked kernel with batched policy decisions: departure-free
-  arrival groups are answered by one vectorized ``on_offer_batch``
-  call, still float-identical.
+  the same kernel plus a decision map for ``batch_order_free``
+  policies: one vectorized ``on_offer_batch`` call answers every
+  arrival until the state changes, still float-identical.
 
 :func:`simulate_trace` and :func:`compare_policies` are the
 engine-dispatching front doors; :func:`compare_policies` additionally
@@ -55,6 +53,7 @@ from repro.sim.indexed import (
     draw_trace_arrays,
     resolve_sim_engine,
 )
+from repro.sim.kernel import BatchedVideoSim
 from repro.sim.metrics import SimulationReport, TimeWeightedValue
 from repro.sim.policies import AdmissionPolicy, ResourceView
 from repro.util.rng import ensure_rng
@@ -113,7 +112,7 @@ def draw_trace(
     already carries (a multicast system gets no new decision from a
     second request for a carried stream).
 
-    ``engine="indexed"`` (the default) and ``engine="chunked"`` draw
+    ``engine="indexed"`` (the default) and ``engine="batched"`` draw
     the whole trace with batched numpy calls
     (:func:`repro.sim.indexed.draw_trace_arrays`); ``engine="dict"``
     keeps the original per-event loop.  All are deterministic under
@@ -325,6 +324,10 @@ class VideoDistributionSim:
         return self.run_trace(trace, horizon)
 
 
+#: The array engines by name (every engine but the ``dict`` oracle).
+_ARRAY_ENGINES = {"indexed": IndexedVideoSim, "batched": BatchedVideoSim}
+
+
 def simulate_trace(
     instance: "MMDInstance | IndexedInstance",
     policy: AdmissionPolicy,
@@ -335,27 +338,17 @@ def simulate_trace(
     """Replay one trace under one policy with the chosen engine.
 
     The engine-dispatching front door: ``engine="indexed"`` (default)
-    runs :class:`repro.sim.indexed.IndexedVideoSim`,
-    ``engine="chunked"`` the decision-point kernel
-    :class:`repro.sim.kernel.ChunkedVideoSim`, ``engine="batched"``
-    the group-decision kernel :class:`repro.sim.kernel.BatchedVideoSim`
-    (chunked replay answering arrival groups through the policies'
-    vectorized ``on_offer_batch``), ``engine="dict"`` the original
-    :class:`VideoDistributionSim`; all accept either trace
+    runs the decision-point kernel
+    :class:`repro.sim.indexed.IndexedVideoSim`, ``engine="batched"``
+    the same kernel with a decision map for order-free policies
+    (:class:`repro.sim.kernel.BatchedVideoSim`), ``engine="dict"`` the
+    original :class:`VideoDistributionSim`; all accept either trace
     representation and produce identical reports on the same trace.
     """
     engine = resolve_sim_engine(engine)
-    if engine == "chunked":
-        from repro.sim.kernel import ChunkedVideoSim
-
-        return ChunkedVideoSim(instance, policy).run_trace(trace, horizon)
-    if engine == "batched":
-        from repro.sim.kernel import BatchedVideoSim
-
-        return BatchedVideoSim(instance, policy).run_trace(trace, horizon)
-    if engine == "indexed":
-        return IndexedVideoSim(instance, policy).run_trace(trace, horizon)
-    return VideoDistributionSim(instance, policy).run_trace(trace, horizon)
+    if engine == "dict":
+        return VideoDistributionSim(instance, policy).run_trace(trace, horizon)
+    return _ARRAY_ENGINES[engine](instance, policy).run_trace(trace, horizon)
 
 
 def simulate_store(
@@ -372,14 +365,14 @@ def simulate_store(
     report-identical to it on the same events: a store *is* an
     :class:`~repro.sim.indexed.IndexedTrace` (mmap-backed columns), so
     every engine accepts it.  With a ``window`` (explicit or
-    ``$REPRO_STORE_WINDOW``), the ``chunked`` and ``batched`` kernels
+    ``$REPRO_STORE_WINDOW``), the ``indexed`` and ``batched`` engines
     stream the store ``window`` time units at a time in bounded memory
-    via :meth:`~repro.sim.kernel.ChunkedVideoSim.run_store` — live
+    via :meth:`~repro.sim.indexed.IndexedVideoSim.run_store` — live
     sessions are stitched across boundaries, so the report stays
-    **float-identical** to monolithic replay.  The per-event ``indexed``
-    and ``dict`` engines have no streaming driver; for them the window
-    is a performance hint with nothing to hint, and the store replays
-    monolithically (same report either way, by the stitching contract).
+    **float-identical** to monolithic replay.  The ``dict`` oracle has
+    no streaming driver; for it the window is a performance hint with
+    nothing to hint, and the store replays monolithically (same report
+    either way, by the stitching contract).
 
     ``store`` may be a :class:`~repro.sim.store.TraceStore`, a path to
     one (opened here), or any in-RAM trace when windowing is not
@@ -390,13 +383,12 @@ def simulate_store(
     engine = resolve_sim_engine(engine)
     if isinstance(store, (str, Path)):
         store = TraceStore.open(store)
-    if engine in ("chunked", "batched"):
-        from repro.sim.kernel import BatchedVideoSim, ChunkedVideoSim
-
-        cls = BatchedVideoSim if engine == "batched" else ChunkedVideoSim
-        return cls(instance, policy).run_store(store, horizon, window=window)
-    resolve_store_window(window)  # validate loudly even where ignored
-    return simulate_trace(instance, policy, store, horizon, engine=engine)
+    if engine == "dict":
+        resolve_store_window(window)  # validate loudly even where ignored
+        return simulate_trace(instance, policy, store, horizon, engine=engine)
+    return _ARRAY_ENGINES[engine](instance, policy).run_store(
+        store, horizon, window=window
+    )
 
 
 def _simulate_one(args) -> SimulationReport:
@@ -425,9 +417,9 @@ def compare_policies(
         As before; ``seed`` feeds the trace draw only.
     engine:
         Simulation engine for the trace draw and every replay
-        (``indexed`` default, ``chunked`` for the decision-point
-        kernel, ``dict`` for the original path, ``$REPRO_SIM_ENGINE``
-        overrides).
+        (``indexed`` default, ``batched`` for the decision map over
+        order-free policies, ``dict`` for the original path,
+        ``$REPRO_SIM_ENGINE`` overrides).
     parallel:
         Number of worker processes.  ``1`` (default) replays in-process;
         ``N > 1`` fans the policies out over a process pool via the

@@ -41,7 +41,7 @@ it and appends from there, producing a store byte-identical to an
 uninterrupted write).
 
 Windowed *replay* of a store — float-identical stitching at window
-boundaries — lives in :meth:`repro.sim.kernel.ChunkedVideoSim.run_store`
+boundaries — lives in :meth:`repro.sim.indexed.IndexedVideoSim.run_store`
 and the :func:`repro.sim.simulation.simulate_store` front door; this
 module only owns the bytes.
 """
@@ -169,8 +169,9 @@ def _validate_chunk(
 
     The same loudness contract as
     :meth:`~repro.sim.indexed.IndexedVideoSim._prepare_trace`: NaN times
-    or durations and negative durations fail here instead of corrupting
-    a store that every later replay would refuse.
+    or durations, negative times, negative durations and negative
+    stream indices fail here instead of corrupting a store that every
+    later replay would refuse.
     """
     if times.shape != streams.shape or times.shape != durations.shape:
         raise ValidationError(
@@ -179,6 +180,10 @@ def _validate_chunk(
         )
     if np.isnan(times).any() or np.isnan(durations).any():
         raise ValidationError("NaN event time or duration in trace chunk")
+    if times.size and float(times.min()) < 0.0:
+        raise ValidationError(
+            f"negative event time in trace chunk: {float(times.min())}"
+        )
     if durations.size and float(durations.min()) < 0.0:
         raise ValidationError(
             f"negative session duration in trace chunk: {float(durations.min())}"

@@ -167,8 +167,8 @@ class TestRetiredEngines:
 class TestAllocatorBatch:
     @staticmethod
     def _drain(allocator, ks):
-        """Feed ``ks`` through ``offer_batch`` exactly as the batched
-        simulator does: consume the returned prefix, re-offer the rest."""
+        """Feed ``ks`` through ``offer_batch`` under its prefix
+        contract: consume the returned prefix, re-offer the rest."""
         answers = []
         pending = list(ks)
         while pending:

@@ -222,7 +222,32 @@ class TestEngineErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert "'turbo'" in err
-        assert "chunked" in err
+        assert "batched" in err
+
+    def test_retired_chunked_sim_engine_is_unknown(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """``chunked`` is no simulation engine: the flag, the env var and
+        a spec naming it all exit 2 as for any unknown engine."""
+        monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--engine", "chunked", "--horizon", "5"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'chunked'" in capsys.readouterr().err
+
+        monkeypatch.setenv("REPRO_SIM_ENGINE", "chunked")
+        assert main(["simulate", "--policies", "threshold", "--horizon", "5"]) == 2
+        assert "unknown simulation engine 'chunked'" in capsys.readouterr().err
+        monkeypatch.delenv("REPRO_SIM_ENGINE")
+
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "name": "retired", "kind": "simulate", "family": "iptv",
+            "streams": [8], "users": [4], "policies": ["threshold"],
+            "horizon": 10.0, "sim_engine": "chunked",
+        }))
+        assert main(["sweep", str(spec), "-o", str(tmp_path / "out.jsonl")]) == 2
+        assert "unknown simulation engine 'chunked'" in capsys.readouterr().err
 
 
 class TestGracefulInterrupt:

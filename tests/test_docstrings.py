@@ -3,9 +3,9 @@
 CI additionally runs ``ruff check --select D1`` over these files; this
 AST-based check enforces the same "no missing docstrings" rule without
 needing ruff installed, so the tier-1 suite catches regressions too.
-Scope (per the PR-2 docs pass, extended by the PR-4 orchestration
-layer, the PR-5 chunked kernel, the PR-6 batched core, the PR-7
-trace store and the PR-8 serving layer): ``repro.core.indexed``,
+Scope (the docs pass, extended by the orchestration layer, the
+simulation replay kernels, the batched core, the trace store and the
+serving layer): ``repro.core.indexed``,
 ``repro.core.batched``, every module of ``repro.instances``,
 ``repro.config``, every module of ``repro.experiments``,
 ``repro.core.allocate``, ``repro.sim.indexed``, ``repro.sim.kernel``,

@@ -361,21 +361,21 @@ class TestRunner:
 
         solve_run = run_experiment(SMOKE)
         assert {r["engine"] for r in solve_run.rows} == {"indexed"}
-        sim_run = run_experiment(replace(SIM, sim_engine="chunked"))
-        assert {r["engine"] for r in sim_run.rows} == {"chunked"}
+        sim_run = run_experiment(replace(SIM, sim_engine="batched"))
+        assert {r["engine"] for r in sim_run.rows} == {"batched"}
 
-    def test_chunked_engine_rows_match_indexed(self):
-        """A simulate spec produces identical metrics under the chunked
-        kernel and the per-event indexed engine (runner-level parity)."""
+    def test_batched_engine_rows_match_indexed(self):
+        """A simulate spec produces identical metrics under the batched
+        engine and the indexed kernel (runner-level parity)."""
         from dataclasses import replace
 
         indexed = run_experiment(replace(SIM, sim_engine="indexed"))
-        chunked = run_experiment(replace(SIM, sim_engine="chunked"))
-        for row_i, row_c in zip(indexed.rows, chunked.rows):
-            assert row_i["engine"] == "indexed" and row_c["engine"] == "chunked"
+        batched = run_experiment(replace(SIM, sim_engine="batched"))
+        for row_i, row_b in zip(indexed.rows, batched.rows):
+            assert row_i["engine"] == "indexed" and row_b["engine"] == "batched"
             for key in ("utility_time", "offered", "admitted", "deliveries",
                         "violations", "peak_utilization", "jain"):
-                assert row_i[key] == row_c[key], key
+                assert row_i[key] == row_b[key], key
 
     @pytest.mark.parametrize("family", ["iptv", "cable-headend", "small-streams"])
     def test_sim_aggregate_independent_of_pool_and_shards(self, family, tmp_path):

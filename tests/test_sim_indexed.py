@@ -1,16 +1,16 @@
 """Parity suite for the array-native simulation engines.
 
-The indexed engine (:mod:`repro.sim.indexed`), the chunked
-event-dispatch kernel and the batched group-decision kernel
-(:mod:`repro.sim.kernel`) promise reports that are *float-identical*
-to the dict engine's on any common trace: same utility integral, same
-admits/deliveries/violations, same per-user utilities and server
-utilizations.  These hypothesis-driven tests replay the same
-dict-drawn trace under all four engines for every built-in policy and
-assert equality with ``==``, plus determinism-under-seed for the
-vectorized trace draw, horizon-boundary and tie-breaking agreement,
-adversarial arrival-grouping traces for the batched kernel, and
-regression tests for the degenerate-input fixes.
+The indexed engine's decision-point kernel (:mod:`repro.sim.indexed`)
+and the batched engine's decision map (:mod:`repro.sim.kernel`)
+promise reports that are *float-identical* to the dict engine's on any
+common trace: same utility integral, same admits/deliveries/violations,
+same per-user utilities and server utilizations.  These
+hypothesis-driven tests replay the same dict-drawn trace under all
+three engines for every built-in policy and assert equality with
+``==``, plus determinism-under-seed for the vectorized trace draw,
+horizon-boundary and tie-breaking agreement, adversarial arrival
+patterns for the decision map and its dispatch rule, and regression
+tests for the degenerate-input fixes.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from repro.sim.simulation import (
 MODEL = ArrivalModel(rate=2.0, mean_duration=12.0)
 
 #: Every replay engine; reports must agree float-for-float across them.
-ENGINES = ("dict", "indexed", "chunked", "batched")
+ENGINES = ("dict", "indexed", "batched")
 
 POLICY_FACTORIES = {
     "threshold": lambda: ThresholdPolicy(margin=1.0),
@@ -140,7 +140,7 @@ class TestEngineParity:
 
     def test_unsorted_event_list_replays_identically(self):
         """A hand-built, time-shuffled event list replays identically —
-        the chunked kernel's general (non-presorted) grouping path."""
+        the array kernel's general (non-presorted) grouping path."""
         instance = iptv_neighborhood_workload(num_channels=8, num_households=4, seed=2)
         events = draw_trace(instance, MODEL, horizon=60.0, seed=9, engine="indexed")
         shuffled = list(reversed(events))
@@ -199,6 +199,23 @@ class TestEngineParity:
             )
         ]
         with pytest.raises(SimulationError):
+            simulate_trace(instance, ThresholdPolicy(), trace, 30.0, engine=engine)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("bad", [-1, 6, 99])
+    def test_out_of_range_stream_index_rejected(self, engine, bad):
+        """An index trace naming a stream outside ``[0, num_streams)``
+        fails with the canonical unknown-stream error under every engine
+        (a negative index must not wrap to the last stream)."""
+        from repro.exceptions import ValidationError
+
+        instance = iptv_neighborhood_workload(num_channels=6, num_households=3, seed=1)
+        trace = IndexedTrace(
+            times=np.array([1.0, 2.0]),
+            streams=np.array([0, bad], dtype=np.int64),
+            durations=np.array([5.0, 5.0]),
+        )
+        with pytest.raises(ValidationError, match="unknown stream id"):
             simulate_trace(instance, ThresholdPolicy(), trace, 30.0, engine=engine)
 
     @pytest.mark.parametrize("engine", ENGINES)
@@ -395,7 +412,7 @@ class TestHorizonAndTieParity:
     def test_simultaneous_departures_fire_in_admission_order(self, policy_key):
         """Two sessions departing at the same instant from an *unsorted*
         event list: the heap calendar fires them in admission order, not
-        trace-position order — the merged order and the chunked kernel
+        trace-position order — the merged order and the array kernel
         must tie-break identically (regression: they used trace order)."""
         instance = iptv_neighborhood_workload(
             num_channels=8, num_households=5, seed=3
@@ -412,11 +429,12 @@ class TestHorizonAndTieParity:
 
 
 class TestBatchedGrouping:
-    """Adversarial arrival patterns for the batched kernel's grouping:
-    maximal groups (every decision rejects, so one batch answers long
-    runs), groups cut at every member (every decision admits), and
-    rejection successors that would overtake later group members if the
-    grouping ignored them."""
+    """Adversarial arrival patterns for the batched engine: maximal
+    decision-map epochs (every decision rejects, so one batch answers
+    long runs), epochs cut at every member (every decision admits), and
+    the dispatch rule — only ``batch_order_free`` policies reach
+    ``on_offer_batch``; every other policy is driven per offer exactly
+    as under ``indexed``."""
 
     @staticmethod
     def _instance(seed=4):
@@ -424,7 +442,7 @@ class TestBatchedGrouping:
 
     def test_all_reject_maximal_groups(self):
         """A zero-margin threshold (or a zero-capacity plant) rejects
-        everything: the batched kernel forms maximal groups and must
+        everything: the decision map answers maximal groups and must
         still count every offer."""
         instance = self._instance()
         model = ArrivalModel(rate=20.0, mean_duration=3.0)
@@ -436,8 +454,8 @@ class TestBatchedGrouping:
         assert report.offered > 0
 
     def test_all_admit_cuts_every_group(self):
-        """Generous margins admit every decision, so each group is cut
-        at its first member; reports must still match exactly."""
+        """Generous margins admit every decision, so each decision-map
+        epoch ends at its first member; reports must still match."""
         instance = self._instance()
         model = ArrivalModel(rate=20.0, mean_duration=0.05)
         trace = draw_trace(instance, model, horizon=60.0, seed=3, engine="dict")
@@ -448,9 +466,9 @@ class TestBatchedGrouping:
 
     def test_rejection_successor_cannot_overtake_group(self):
         """Stream a's arrivals at t=1 and t=1.5 with stream b at t=2: if
-        the batch naively grouped a@1 with b@2, a rejection of a@1 would
-        push a@1.5 *behind* an already-answered b@2, reordering the RNG
-        draws of a stateful policy.  The group limit must prevent that."""
+        a batch grouped a@1 with b@2, a rejection of a@1 would push
+        a@1.5 *behind* an already-answered b@2, reordering the RNG draws
+        of a stateful policy.  Stateful policies are never batched."""
         instance = self._instance()
         sids = instance.stream_ids()
         trace = [
@@ -464,30 +482,72 @@ class TestBatchedGrouping:
         assert report.offered == 3
 
     def test_offer_order_matches_sequential(self):
-        """A recording policy sees the offers in the same order under the
-        batched kernel as under the per-decision chunked kernel."""
+        """A stateful recording policy makes no ``on_offer_batch`` call
+        under the batched engine and sees exactly the ``indexed``
+        engine's ``on_offer_indexed`` sequence."""
 
         class Recorder(AdmissionPolicy):
             name = "recorder"
 
             def __init__(self):
                 self.calls = []
+                self.batch_calls = 0
 
             def on_offer(self, stream_id, view):
-                self.calls.append(stream_id)
                 if not view.fits_server(stream_id):
                     return []
                 return view.interested_users(stream_id)
+
+            def on_offer_indexed(self, k, view):
+                self.calls.append(k)
+                return super().on_offer_indexed(k, view)
+
+            def on_offer_batch(self, ks, view):
+                self.batch_calls += 1
+                return super().on_offer_batch(ks, view)
 
         instance = self._instance(seed=8)
         model = ArrivalModel(rate=15.0, mean_duration=1.0)
         trace = draw_trace(instance, model, horizon=80.0, seed=5, engine="dict")
         sequential = Recorder()
         batched = Recorder()
-        first = simulate_trace(instance, sequential, trace, 80.0, engine="chunked")
+        first = simulate_trace(instance, sequential, trace, 80.0, engine="indexed")
         second = simulate_trace(instance, batched, trace, 80.0, engine="batched")
+        assert batched.batch_calls == 0
         assert batched.calls == sequential.calls
+        assert len(batched.calls) == first.offered > 0
         assert_reports_identical(first, second)
+
+    def test_order_free_policy_goes_through_decision_map(self):
+        """On a reject-dominated trace an order-free policy is answered
+        by ``on_offer_batch`` groups: fewer policy calls than offers."""
+
+        class CountingThreshold(ThresholdPolicy):
+            def __init__(self):
+                super().__init__(margin=0.3)
+                self.batch_calls = 0
+                self.single_calls = 0
+
+            def on_offer_indexed(self, k, view):
+                self.single_calls += 1
+                return super().on_offer_indexed(k, view)
+
+            def on_offer_batch(self, ks, view):
+                self.batch_calls += 1
+                return super().on_offer_batch(ks, view)
+
+        instance = self._instance(seed=8)
+        model = ArrivalModel(rate=30.0, mean_duration=4.0)
+        trace = draw_trace(instance, model, horizon=80.0, seed=5, engine="dict")
+        policy = CountingThreshold()
+        report = simulate_trace(instance, policy, trace, 80.0, engine="batched")
+        assert policy.batch_calls > 0
+        assert policy.batch_calls + policy.single_calls < report.offered
+        assert report.offered > 2 * report.admitted  # reject-dominated
+        assert_reports_identical(
+            report,
+            simulate_trace(instance, CountingThreshold(), trace, 80.0, engine="dict"),
+        )
 
     def test_default_batch_stops_after_first_nonempty_answer(self):
         """The base ``on_offer_batch`` answers a prefix and stops once an
@@ -559,7 +619,36 @@ class TestMergedReplayOrder:
         with pytest.raises(SimulationError, match="NaN"):
             simulate_trace(instance, ThresholdPolicy(), trace, 30.0, engine=engine)
 
-    @pytest.mark.parametrize("engine", ["indexed", "chunked", "batched"])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_negative_time_or_horizon_rejected_by_every_engine(self, engine):
+        """An arrival before time 0 or a negative horizon fails with the
+        dict engine's ``SimulationError``, not a raw ``ValueError`` from
+        the metrics integrators."""
+        from repro.exceptions import SimulationError
+
+        instance = iptv_neighborhood_workload(num_channels=6, num_households=3, seed=1)
+        sid = instance.stream_ids()[0]
+        early = [SessionEvent(time=-1.0, stream_id=sid, duration=5.0)]
+        with pytest.raises(SimulationError, match="past"):
+            simulate_trace(instance, ThresholdPolicy(), early, 30.0, engine=engine)
+        for events in ([SessionEvent(time=1.0, stream_id=sid, duration=5.0)], []):
+            with pytest.raises(SimulationError, match="horizon"):
+                simulate_trace(instance, ThresholdPolicy(), events, -1.0, engine=engine)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_nan_duration_beyond_horizon_is_not_read(self, engine):
+        """Like a negative one, a NaN duration of an arrival past the
+        horizon is never scheduled, so no engine refuses it."""
+        instance = iptv_neighborhood_workload(num_channels=6, num_households=3, seed=1)
+        sid = instance.stream_ids()[0]
+        trace = [
+            SessionEvent(time=1.0, stream_id=sid, duration=5.0),
+            SessionEvent(time=50.0, stream_id=sid, duration=math.nan),
+        ]
+        report = simulate_trace(instance, ThresholdPolicy(), trace, 30.0, engine=engine)
+        assert report.offered == 1
+
+    @pytest.mark.parametrize("engine", ["indexed", "batched"])
     def test_nan_duration_rejected_by_array_engines(self, engine):
         from repro.exceptions import SimulationError
 

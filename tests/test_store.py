@@ -5,7 +5,7 @@ The stitching-correctness pack for :mod:`repro.sim.store`:
 - property-based round trips — hypothesis-generated traces written to a
   store, reopened via mmap, and required to come back *byte*-identical
   column by column, with :class:`~repro.sim.metrics.SimulationReport`
-  parity across all four engines (plus empty / single-event / unsorted
+  parity across all three engines (plus empty / single-event / unsorted
   edge cases);
 - boundary-stitching regressions — crafted traces whose sessions span
   window edges, depart exactly on a boundary, have zero duration at the
@@ -52,11 +52,11 @@ from repro.sim.store import (
 )
 from repro.sim.trace import store_events
 
-ENGINES = ("dict", "indexed", "chunked", "batched")
+ENGINES = ("dict", "indexed", "batched")
 
-#: Engines with a windowed ``run_store`` of their own (the other two go
-#: through the monolithic fallback inside :func:`simulate_store`).
-WINDOWED_ENGINES = ("chunked", "batched")
+#: Engines with a windowed ``run_store`` of their own (the dict oracle
+#: goes through the monolithic fallback inside :func:`simulate_store`).
+WINDOWED_ENGINES = ("indexed", "batched")
 
 POLICY_FACTORIES = {
     "threshold": lambda: ThresholdPolicy(margin=1.0),
@@ -164,7 +164,7 @@ def test_round_trip_byte_identical(trace, tmp_path_factory):
 def test_round_trip_report_parity(trace, instance, tmp_path_factory):
     """A reopened store replays identically to the in-RAM trace.
 
-    All four engines, two representative policies (one stateful with
+    All three engines, two representative policies (one stateful with
     RNG, one stateless) — reports compared field by field with ``==``.
     """
     path = tmp_path_factory.mktemp("store") / "s"
@@ -224,14 +224,30 @@ def test_window_slices_partition_the_store(tmp_path):
 
 
 def test_store_rejects_bad_chunks(tmp_path):
-    """NaN times, negative durations and negative streams are refused."""
+    """NaN or negative times, negative durations and negative streams
+    are refused."""
     with TraceStoreWriter(tmp_path / "bad") as writer:
         with pytest.raises(ValidationError):
             writer.append([float("nan")], [0], [1.0])
         with pytest.raises(ValidationError):
+            writer.append([-1.0], [0], [1.0])
+        with pytest.raises(ValidationError):
             writer.append([1.0], [0], [-2.0])
         with pytest.raises(ValidationError):
             writer.append([1.0], [-1], [1.0])
+
+
+@pytest.mark.parametrize("bad", [NUM_STREAMS, 99])
+def test_store_replay_rejects_unknown_stream_index(bad, instance, tmp_path):
+    """A store naming a stream index the instance lacks fails with the
+    canonical unknown-stream error under every engine, windowed or not."""
+    store = write_trace(make_trace([(1.0, 0, 2.0), (2.0, bad, 2.0)]),
+                        tmp_path / "s")
+    for engine in ENGINES:
+        for window in (None, 1.5):
+            with pytest.raises(ValidationError, match="unknown stream id"):
+                simulate_store(instance, ThresholdPolicy(), store, HORIZON,
+                               engine=engine, window=window)
 
 
 def test_store_events_bridge(instance, tmp_path):
@@ -330,15 +346,15 @@ def test_simulate_store_accepts_path_and_env(instance, tmp_path, monkeypatch):
     path = tmp_path / "s"
     write_trace(trace, path)
     expected = simulate_trace(instance, ThresholdPolicy(), trace, HORIZON,
-                              engine="chunked")
+                              engine="indexed")
     monkeypatch.setenv("REPRO_STORE_WINDOW", "2.5")
     got = simulate_store(instance, ThresholdPolicy(), str(path), HORIZON,
-                         engine="chunked")
+                         engine="indexed")
     assert_reports_identical(expected, got)
     monkeypatch.setenv("REPRO_STORE_WINDOW", "junk")
     with pytest.raises(ValidationError):
         simulate_store(instance, ThresholdPolicy(), str(path), HORIZON,
-                       engine="chunked")
+                       engine="indexed")
 
 
 def test_windowed_replay_requires_sorted_store(instance, tmp_path):
@@ -348,7 +364,7 @@ def test_windowed_replay_requires_sorted_store(instance, tmp_path):
     )
     with pytest.raises(ValidationError):
         simulate_store(instance, ThresholdPolicy(), store, HORIZON,
-                       engine="chunked", window=2.0)
+                       engine="indexed", window=2.0)
 
 
 # ---------------------------------------------------------------------------
