@@ -11,10 +11,13 @@ generation  instance draw path       ``$REPRO_GEN_ENGINE`` vectorized
 simulation  trace draw and replay    ``$REPRO_SIM_ENGINE`` indexed
 ==========  =======================  ====================  ==========
 
-The solver seam has three engines: ``dict`` (the original string-keyed
-implementations), ``indexed`` (vectorized single-pick kernels, the
-default) and ``batched`` (:mod:`repro.core.batched`, multi-pick greedy
-rounds).  All three produce bit-identical traces.
+The solver seam has two engines: ``dict`` (the original string-keyed
+implementations, the reference oracle) and ``indexed`` (the vectorized
+kernels, the default).  Both produce bit-identical traces.  Under
+``indexed``, Greedy runs the single-pick kernel or the multi-pick
+rounds of :mod:`repro.core.batched`, whichever
+:func:`repro.core.greedy.greedy_kernel_for` picks from the instance's
+shape; that choice has no switch.
 
 The simulation seam has three engines: ``dict`` (the original
 string-keyed event loop, the reference oracle), ``indexed``
@@ -77,7 +80,7 @@ ENGINE_SETTINGS: "dict[str, EngineSetting]" = {
         label="engine",
         env="REPRO_ENGINE",
         default="indexed",
-        choices=("indexed", "dict", "batched"),
+        choices=("indexed", "dict"),
     ),
     "generation": EngineSetting(
         kind="generation",

@@ -45,9 +45,8 @@ finite duration):
   and finite masks, ``load/cap`` ratios, scaled caps, user ranks, the
   per-stream server ratios) is precomputed once per (stream, user) pair
   at construction, aligned with the stream-major CSR arrays, and the
-  Line-4 drop walk is one vectorized :func:`_drop_walk` shared by
-  :meth:`OnlineAllocator.offer_indexed` and
-  :meth:`OnlineAllocator.offer_batch`;
+  Line-4 drop walk is one vectorized :func:`_drop_walk` over the
+  offer's row;
 - rejections are memoized exactly: a decision is a pure function of
   the stream, the loads and the charge caches (``enforce_budgets`` and
   ``µ`` are fixed at construction), and a rejection moves none of
@@ -155,32 +154,29 @@ def _certain_rejection(server_charge: float, charges: np.ndarray, w: np.ndarray)
     return server_charge - gain > _CERTIFICATE_ALLOWANCE * (charges.size + 2) * scale
 
 
-def _drop_walk(server_charge, sorted_cw: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Line 4's drop walk for a group of offers; returns the users kept.
+def _drop_walk(server_charge: float, sorted_cw: np.ndarray) -> int:
+    """Line 4's drop walk for one offer; returns the number of users kept.
 
-    ``sorted_cw`` has shape ``(2, rows, width)``: plane 0 holds user
-    charges, plane 1 utilities.  Row ``r`` holds one offer's
-    ``lengths[r]`` users in ascending (charge/utility, rank) order,
-    right-aligned behind zero padding.  The walk starts from the full
-    totals (server charge included) and drops the last user, one
-    subtraction at a time, while total charge exceeds total utility —
-    the paper's note after Alg. 2.  ``cumsum`` and
-    ``subtract.accumulate`` both run sequentially along a row (the
-    leading zeros add an exact ``+0.0``), so column ``s`` of the walk
-    is bit-for-bit the running total a scalar loop holds after ``s``
-    removals, and a NaN total stops the walk exactly as the scalar
-    ``>`` test would.
+    ``sorted_cw`` has shape ``(2, n)``: row 0 holds user charges, row 1
+    utilities, in ascending (charge/utility, rank) order.  The walk
+    starts from the full totals (server charge included) and drops the
+    last user, one subtraction at a time, while total charge exceeds
+    total utility — the paper's note after Alg. 2.  ``cumsum`` and
+    ``subtract.accumulate`` both run sequentially along a row, so
+    column ``s`` of the walk is bit-for-bit the running total a scalar
+    loop holds after ``s`` removals, and a NaN total stops the walk
+    exactly as the scalar ``>`` test would.
     """
-    planes, nrows, width = sorted_cw.shape
-    walk = np.empty((planes, nrows, width + 1))
-    walk[:, :, 0] = np.cumsum(sorted_cw, axis=2)[:, :, -1]
-    walk[0, :, 0] += server_charge
-    walk[:, :, 1:] = sorted_cw[:, :, ::-1]  # column s drops entry length - s
+    n = sorted_cw.shape[1]
+    walk = np.empty((2, n + 1))
+    walk[:, 0] = np.cumsum(sorted_cw, axis=1)[:, -1]
+    walk[0, 0] += server_charge
+    walk[:, 1:] = sorted_cw[:, ::-1]  # column s drops entry n - s
     with np.errstate(invalid="ignore", over="ignore"):
-        np.subtract.accumulate(walk, axis=2, out=walk)
+        np.subtract.accumulate(walk, axis=1, out=walk)
     stop = ~(walk[0] > walk[1])
-    stop[np.arange(nrows), lengths] = True  # every user dropped
-    return lengths - stop.argmax(axis=1)
+    stop[n] = True  # every user dropped
+    return n - int(stop.argmax())
 
 
 class OnlineAllocator:
@@ -512,10 +508,10 @@ class OnlineAllocator:
         # Maximal U_j: drop users in decreasing order of charge/utility
         # until the Line 4 condition holds (the paper's note after Alg. 2).
         order = np.lexsort((self._pair_rank[row], charges / row_w))
-        sorted_cw = np.empty((2, 1, hi - lo))
-        sorted_cw[0, 0] = charges[order]
-        sorted_cw[1, 0] = row_w[order]
-        count = int(_drop_walk(server_charge, sorted_cw, np.array([hi - lo]))[0])
+        sorted_cw = np.empty((2, hi - lo))
+        sorted_cw[0] = charges[order]
+        sorted_cw[1] = row_w[order]
+        count = _drop_walk(server_charge, sorted_cw)
         if count == 0:
             self._reject(k)
             return empty
@@ -538,100 +534,25 @@ class OnlineAllocator:
     def offer_batch(self, ks: np.ndarray) -> "list[np.ndarray]":
         """Answer a group of offers; returns answers for a prefix of ``ks``.
 
-        For groups of offers whose decisions cannot interact until one
-        commits; no simulation engine calls it (they drive Allocate one
-        :meth:`offer_indexed` call per decision).  The exponential
-        charges only move on a commit, so every offer the sequential
-        walk would *reject* sees unchanged state — this method answers
-        memo hits (streams already rejected in the current epoch)
-        directly, runs the vectorized rejection filter
-        (:meth:`_keep_counts`) over the rows that miss, and then
-        delegates the first offer predicted to select users to
-        :meth:`offer_indexed`, which recomputes and commits.  The
-        answers are therefore bit-identical to calling
-        :meth:`offer_indexed` in sequence; the prefix ends at the first
-        potentially state-changing answer (the caller re-offers the
-        rest).  Every index is validated before any state is written.
+        Every index is validated before any state is written; then each
+        offer is answered by :meth:`offer_indexed` in order, and the
+        prefix ends after the first admit (a commit moves the charges
+        every later decision depends on; the caller re-offers the
+        rest).  The answers are therefore those of calling
+        :meth:`offer_indexed` in sequence.  No simulation engine calls
+        it; they drive Allocate one :meth:`offer_indexed` call per
+        decision.
         """
-        ks_arr = np.asarray(ks, dtype=np.int64)
-        ks_list = ks_arr.tolist()
+        ks_list = np.asarray(ks, dtype=np.int64).tolist()
         for k in ks_list:
-            if not 0 <= k < self._idx.num_streams:
-                self._check_stream_index(k)  # raises, before any state moves
-        memo, epoch = self._rejected, self._epoch
-        misses = [p for p, k in enumerate(ks_list) if memo.get(k) != epoch]
-        keep = [0] * len(ks_list)  # predicted Line-4 count; 0 for memo hits
-        if misses:
-            counts = self._keep_counts(ks_arr[misses]).tolist()
-            for position, count in zip(misses, counts):
-                keep[position] = count
-
-        empty = np.empty(0, dtype=np.int64)
+            self._check_stream_index(k)  # raises, before any state moves
         answers: "list[np.ndarray]" = []
-        for position, k in enumerate(ks_list):
-            self._check_active(k)
-            if keep[position] == 0:
-                self._reject(k)
-                answers.append(empty)
-                continue
-            # First offer that selects users: recompute + commit through
-            # offer_indexed (state untouched by the rejects above, so
-            # the floats are identical), then end the prefix — a commit
-            # moves the charges every later decision depends on.
-            answers.append(self.offer_indexed(k))
-            break
+        for k in ks_list:
+            answer = self.offer_indexed(k)
+            answers.append(answer)
+            if answer.size:
+                break
         return answers
-
-    def _keep_counts(self, ks: np.ndarray) -> np.ndarray:
-        """Line 4's kept-user count for an offer of each stream in ``ks``
-        at the current state, vectorized over the group: batched charges,
-        one segment-major ``lexsort`` and the padded-row
-        :func:`_drop_walk` that :meth:`offer_indexed` runs on a single
-        row (an empty row keeps 0).  Reads state, writes none.
-        """
-        idx = self._idx
-        starts = idx.s_indptr[ks]
-        counts = (idx.s_indptr[ks + 1] - starts).astype(np.int64)
-        keep = np.zeros(ks.size, dtype=np.int64)
-        nz = counts > 0
-        if not nz.any():
-            return keep
-        from repro.core.indexed import _concat_ranges
-
-        row_pairs = _concat_ranges(starts[nz], counts[nz])
-        row_users = idx.s_user[row_pairs]
-        row_w = idx.s_w[row_pairs]
-        lengths = counts[nz]
-        nrows = lengths.size
-        seg = np.repeat(np.arange(nrows), lengths)
-        charges = self._user_charges(row_users, row_pairs)
-
-        # Per-offer server charge, measures accumulating in the
-        # scalar loop's ascending order (uncharged terms contribute
-        # an exact 0.0 instead of being skipped — same float).
-        server_charge = np.zeros(nrows)
-        ks_nz = ks[nz]
-        for i in self._server_measures:
-            server_charge += np.where(
-                self._server_charged[ks_nz, i],
-                self._server_ratio[ks_nz, i] * self._exp_cost_server(i),
-                0.0,
-            )
-
-        with np.errstate(invalid="ignore"):
-            ratio = charges / row_w
-        # Segment-major stable lexsort == each offer's own
-        # (rank, charge/utility) lexsort, concatenated.
-        order = np.lexsort((self._pair_rank[row_pairs], ratio, seg))
-        # Right-align each offer's sorted users in a zero-padded row.
-        ends = np.cumsum(lengths)
-        width = int(lengths.max())
-        col = np.arange(seg.size, dtype=np.int64) + (width - ends)[seg]
-        sorted_cw = np.zeros((2, nrows, width))
-        sorted_cw[0, seg, col] = charges[order]
-        sorted_cw[1, seg, col] = row_w[order]
-        keep[nz] = _drop_walk(server_charge, sorted_cw, lengths)
-        return keep
 
     def _hard_guard(
         self, k: int, selected_users: np.ndarray, selected_pairs: np.ndarray

@@ -56,12 +56,14 @@ where the sequential kernel would: effectiveness is nonpositive iff the
 residual is, so every remaining candidate — selected or not — is also
 exhausted.
 
-The engine is selected through the usual switches
-(``greedy(inst, engine="batched")``, ``$REPRO_ENGINE=batched``,
-``--engine batched`` on the CLI); ``tests/test_indexed_parity.py`` and
-``tests/test_batched.py`` assert bit-identical traces against the dict
-and indexed engines, and ``benchmarks/bench_e16_batched.py`` asserts
-the ≥ 10× floor over the single-pick kernel at 10k users × 1k streams.
+The kernel has no switch of its own: under the default ``indexed``
+solver engine, :func:`repro.core.greedy.greedy_kernel_for` runs it when
+the instance's shape says it wins (a low collision share between picks,
+or slack caps with short rows) and runs the single-pick kernel otherwise.
+``tests/test_indexed_parity.py`` and ``tests/test_batched.py`` call
+both kernels directly and assert bit-identical traces against the dict
+engine, and ``benchmarks/bench_e16_batched.py`` asserts the ≥ 10× floor
+over the single-pick kernel at 10k users × 1k streams.
 """
 
 from __future__ import annotations

@@ -36,8 +36,12 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.assignment import Assignment, best_assignment
+from repro.core.batched import greedy_kernel_batched
 from repro.core.indexed import (
+    IndexedInstance,
     best_single_stream_kernel,
     greedy_kernel,
     index_instance,
@@ -52,6 +56,21 @@ E_RATIO = math.e / (math.e - 1.0)
 SEMI_FEASIBLE_FACTOR = 2.0 * math.e / (math.e - 1.0)
 #: Theorem 2.8 feasible factor for the O(n^2) algorithm.
 FEASIBLE_FACTOR = 3.0 * math.e / (math.e - 1.0)
+
+#: Collision share up to which the multi-pick kernel runs whatever the
+#: caps.  A pick's row holds ``nnz/|S|`` users with ``nnz/|U|``
+#: interests each, so ``(nnz/|S|)·(nnz/|U|)/|S|`` is the share of the
+#: catalog that shares a user with one pick: the rate at which picks in
+#: a round conflict.
+COLLISION_SHARE = 0.06
+#: Share of slack users (``W_u`` at least the user's total utility, so
+#: the user never saturates and its picks never conflict) from which
+#: the caps count as slack.
+SLACK_SHARE = 0.95
+#: Row length (``nnz/|S|``) up to which the multi-pick kernel runs on
+#: slack caps; longer rows make each round's commit cost more than the
+#: single-pick argmaxes it saves.
+SLACK_ROW_LENGTH = 80.0
 
 
 def _require_single_budget(instance: MMDInstance) -> None:
@@ -162,6 +181,7 @@ class _GreedyState:
         return tuple(receivers)
 
     def drop(self, sid: str) -> None:
+        """Retire ``sid`` from the candidates (assigned or rejected)."""
         self.candidates.discard(sid)
         self.wbar.pop(sid, None)
 
@@ -186,11 +206,11 @@ def greedy(
         Optional budget override (used by resource-augmentation
         experiments); defaults to ``B_1``.
     engine:
-        ``"indexed"`` (default) runs the vectorized single-pick kernel
-        of :mod:`repro.core.indexed`; ``"batched"`` runs the multi-pick
-        round kernel of :mod:`repro.core.batched`; ``"dict"`` runs the
-        original string-keyed implementation.  All engines produce bit-identical traces; the
-        default may be overridden with ``$REPRO_ENGINE``.
+        ``"indexed"`` (default) runs the array kernel that
+        :func:`greedy_kernel_for` picks from the instance's shape;
+        ``"dict"`` runs the original string-keyed implementation.  Both
+        engines produce bit-identical traces; the default may be
+        overridden with ``$REPRO_ENGINE``.
 
     Returns a :class:`GreedyTrace` whose assignment is semi-feasible:
     the server budget holds, and each user may exceed his utility cap
@@ -199,7 +219,7 @@ def greedy(
     _require_single_budget(instance)
     resolved = resolve_engine(engine)
     if resolved != "dict":
-        return _greedy_indexed(instance, initial_streams, budget, resolved)
+        return _greedy_indexed(instance, initial_streams, budget)
     cap = instance.budgets[0] if budget is None else budget
     state = _GreedyState(instance)
     assignment = Assignment(instance)
@@ -233,17 +253,36 @@ def greedy(
     return trace
 
 
+def greedy_kernel_for(idx: IndexedInstance):
+    """The faster of the two bit-identical Greedy kernels for ``idx``.
+
+    :func:`~repro.core.batched.greedy_kernel_batched` commits whole
+    rounds of picks that provably do not interact; it wins when picks
+    rarely share a user whose cap can bind, and loses to the
+    single-pick :func:`~repro.core.indexed.greedy_kernel` when shared
+    users with binding caps cut every round short.  The choice reads
+    only the instance's shape: the multi-pick kernel runs when the
+    collision share is at most :data:`COLLISION_SHARE`, or when at
+    least :data:`SLACK_SHARE` of the users are slack and rows are at
+    most :data:`SLACK_ROW_LENGTH` long.
+    """
+    nnz, num_streams, num_users = idx.nnz, idx.num_streams, idx.num_users
+    if nnz * nnz <= COLLISION_SHARE * num_streams * num_streams * num_users:
+        return greedy_kernel_batched
+    if nnz <= SLACK_ROW_LENGTH * num_streams:
+        totals = np.bincount(idx.u_pair_user, weights=idx.u_w, minlength=num_users)
+        if np.count_nonzero(idx.utility_caps >= totals) >= SLACK_SHARE * num_users:
+            return greedy_kernel_batched
+    return greedy_kernel
+
+
 def _greedy_indexed(
     instance: MMDInstance,
     initial_streams: "tuple[str, ...]",
     budget: "float | None",
-    engine: str = "indexed",
 ) -> GreedyTrace:
-    """Vectorized Greedy: lower once, run a CSR kernel, lift the trace.
-
-    All array-native engines share this lowering; ``engine`` picks the
-    kernel (single-pick or multi-pick batched).
-    """
+    """Vectorized Greedy: lower once, run the kernel
+    :func:`greedy_kernel_for` picks, lift the trace."""
     cap = instance.budgets[0] if budget is None else budget
     idx = index_instance(instance)
     initial: "list[int]" = []
@@ -253,13 +292,7 @@ def _greedy_indexed(
             raise ValidationError(f"initial stream {sid!r} unknown or repeated")
         seen.add(sid)
         initial.append(idx.stream_index[sid])
-    if engine == "batched":
-        from repro.core.batched import greedy_kernel_batched
-
-        kernel = greedy_kernel_batched
-    else:
-        kernel = greedy_kernel
-    order, rejected, total_cost = kernel(idx, cap, initial)
+    order, rejected, total_cost = greedy_kernel_for(idx)(idx, cap, initial)
     assignment = Assignment(instance)
     trace = GreedyTrace(assignment)
     for k, receivers in order:

@@ -344,28 +344,20 @@ class TestKernelBitIdentity:
 
 @pytest.mark.parametrize("seed", range(6))
 def test_drop_walk_matches_scalar_loop(seed):
-    """Padded multi-row walks equal the scalar loop row by row, with
-    NaN and ``inf`` charges (a NaN total stops the walk)."""
+    """The walk equals the scalar loop offer by offer, with NaN and
+    ``inf`` charges (a NaN total stops the walk)."""
     rng = np.random.default_rng(seed)
-    lengths = rng.integers(1, 12, size=9)
-    width = int(lengths.max())
-    server = rng.uniform(0.0, 3.0, size=lengths.size)
-    sorted_cw = np.zeros((2, lengths.size, width))
-    rows = []
-    for r, n in enumerate(lengths):
+    for r, n in enumerate(rng.integers(1, 12, size=9).tolist()):
+        server = float(rng.uniform(0.0, 3.0))
         charges = np.sort(rng.exponential(1.0, size=n))
         w = rng.uniform(0.2, 2.0, size=n)
         if r % 4 == 1:
             charges[rng.integers(n)] = np.nan
         if r % 4 == 2:
             charges[-1] = np.inf
-        sorted_cw[0, r, width - n:] = charges
-        sorted_cw[1, r, width - n:] = w
-        rows.append((charges, w))
-    with np.errstate(all="raise"):
-        kept = _drop_walk(server, sorted_cw, lengths)
-    expected = [_scalar_drop(float(server[r]), c, w) for r, (c, w) in enumerate(rows)]
-    assert kept.tolist() == expected
+        with np.errstate(all="raise"):
+            kept = _drop_walk(server, np.stack([charges, w]))
+        assert kept == _scalar_drop(server, charges, w)
 
 
 class TestDerivedAssignment:
@@ -593,8 +585,7 @@ def _walk_keeps(server_charge, charges, w, ranks):
     in ``offer_indexed``'s (charge/utility, rank) drop order."""
     with np.errstate(invalid="ignore", divide="ignore"):
         order = np.lexsort((ranks, charges / w))
-    sorted_cw = np.stack([charges[order], w[order]])[:, None, :]
-    walk = int(_drop_walk(server_charge, sorted_cw, np.array([w.size]))[0])
+    walk = _drop_walk(server_charge, np.stack([charges[order], w[order]]))
     return walk, _scalar_drop(server_charge, charges[order], w[order])
 
 

@@ -3,12 +3,15 @@
 The parity suites in ``test_indexed_parity.py`` check end-to-end
 bit-exactness against the dict engine; these tests target the batched
 kernel's internals directly — the non-interaction mask, the vectorized
-commit, adversarial conflict structures, and tiny round sizes.
+commit, adversarial conflict structures, and tiny round sizes — and the
+selector that picks it or the single-pick kernel from an instance's
+shape.
 """
 
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,10 +23,12 @@ from repro.core.batched import (
     safe_prefix_mask,
 )
 from repro.exceptions import ValidationError
-from repro.core.greedy import greedy
+from repro.core import greedy as greedy_module
+from repro.core.greedy import greedy, greedy_kernel_for
 from repro.core.indexed import ensure_indexed, greedy_kernel
 from repro.core.instance import MMDInstance, Stream, User
 from repro.instances.generators import random_unit_skew_smd
+from repro.instances.vectorized import generate_unit_skew_smd
 
 
 def all_conflict_instance(num_streams: int = 30) -> MMDInstance:
@@ -52,13 +57,16 @@ def all_independent_instance(num_streams: int = 24) -> MMDInstance:
 
 
 def assert_traces_identical(instance: MMDInstance) -> None:
+    """The multi-pick kernel, called directly, replays the dict trace."""
     dict_trace = greedy(instance, engine="dict")
-    bat_trace = greedy(instance, engine="batched")
-    assert bat_trace.order == dict_trace.order
-    assert bat_trace.rejected_for_budget == dict_trace.rejected_for_budget
-    assert bat_trace.total_cost == dict_trace.total_cost
-    assert bat_trace.assignment.as_dict() == dict_trace.assignment.as_dict()
-    assert bat_trace.assignment.utility() == dict_trace.assignment.utility()
+    idx = ensure_indexed(instance)
+    order, rejected, total_cost = greedy_kernel_batched(idx, instance.budgets[0], [])
+    assert [
+        (idx.stream_ids[k], tuple(idx.user_ids_of(receivers)))
+        for k, receivers in order
+    ] == dict_trace.order
+    assert idx.stream_ids_of(rejected) == dict_trace.rejected_for_budget
+    assert total_cost == dict_trace.total_cost
 
 
 class TestAdversarialStructures:
@@ -162,6 +170,52 @@ class TestRetiredEngines:
     def test_numba_engine_is_unknown(self):
         with pytest.raises(ValidationError, match="unknown engine 'numba'"):
             greedy(all_independent_instance(3), engine="numba")
+
+    def test_batched_solver_engine_is_unknown(self):
+        """The multi-pick kernel has no engine name: the selector runs it."""
+        with pytest.raises(ValidationError, match="unknown engine 'batched'"):
+            greedy(all_independent_instance(3), engine="batched")
+
+
+class TestKernelSelector:
+    """``greedy_kernel_for`` reads the instance's shape: E16's sparse,
+    slack-capped catalog runs the multi-pick kernel; the dense,
+    cap-binding instances of E3 and E11 run the single-pick one."""
+
+    @pytest.mark.parametrize(
+        "streams, users, density", [(1_000, 10_000, 0.001), (200, 1_000, 0.005)]
+    )
+    def test_e16_shapes_pick_batched(self, streams, users, density):
+        idx = generate_unit_skew_smd(
+            streams, users, seed=42, density=density,
+            budget_fraction=0.6, cap_fraction=2.0,
+        )
+        assert greedy_kernel_for(idx) is greedy_kernel_batched
+
+    @pytest.mark.parametrize("streams", [40, 80, 160, 320])
+    def test_e3_shapes_pick_single(self, streams):
+        instance = random_unit_skew_smd(
+            streams, max(8, streams // 8), seed=30_000 + streams, density=0.4
+        )
+        assert greedy_kernel_for(ensure_indexed(instance)) is greedy_kernel
+
+    @pytest.mark.parametrize("streams, users", [(1_000, 10_000), (200, 1_000)])
+    def test_e11_greedy_shapes_pick_single(self, streams, users):
+        idx = generate_unit_skew_smd(streams, users, seed=42, density=0.05)
+        assert greedy_kernel_for(idx) is greedy_kernel
+
+    def test_greedy_runs_the_selected_kernel(self):
+        """The default engine runs exactly the kernel the selector names,
+        and its trace equals the dict engine's."""
+        instance = generate_unit_skew_smd(
+            200, 1_000, seed=42, density=0.005,
+            budget_fraction=0.6, cap_fraction=2.0,
+        ).lift()
+        spy = mock.Mock(wraps=greedy_kernel_batched)
+        with mock.patch.object(greedy_module, "greedy_kernel_batched", spy):
+            trace = greedy(instance, engine="indexed")
+        assert spy.call_count == 1
+        assert trace.order == greedy(instance, engine="dict").order
 
 
 class TestAllocatorBatch:

@@ -213,7 +213,7 @@ class TestEngineErrors:
         err = capsys.readouterr().err
         assert "error:" in err
         assert "'bogus'" in err
-        assert "batched" in err
+        assert "('indexed', 'dict')" in err
         assert "Traceback" not in err
 
     def test_unknown_env_sim_engine_exits_cleanly(self, capsys, monkeypatch):
@@ -248,6 +248,35 @@ class TestEngineErrors:
         }))
         assert main(["sweep", str(spec), "-o", str(tmp_path / "out.jsonl")]) == 2
         assert "unknown simulation engine 'chunked'" in capsys.readouterr().err
+
+    def test_retired_batched_solver_engine_is_unknown(
+        self, instance_file, tmp_path, capsys, monkeypatch
+    ):
+        """``batched`` is no solver engine (Greedy picks its multi-pick
+        kernel from the instance): the flag, the env var and a spec
+        naming it all exit 2 as for any unknown engine."""
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        with pytest.raises(SystemExit) as exc:
+            main(["solve-many", "--engine", "batched", "--sweep-streams", "8",
+                  "--sweep-users", "4"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'batched'" in capsys.readouterr().err
+
+        monkeypatch.setenv("REPRO_ENGINE", "batched")
+        assert main(["solve", str(instance_file)]) == 2
+        assert "unknown engine 'batched'" in capsys.readouterr().err
+        assert main(["solve-many", "--sweep-streams", "8", "--sweep-users", "4",
+                     "-o", str(tmp_path / "many.jsonl")]) == 2
+        assert "unknown engine 'batched'" in capsys.readouterr().err
+        monkeypatch.delenv("REPRO_ENGINE")
+
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "name": "retired", "kind": "solve", "family": "unit-skew-smd",
+            "streams": [8], "users": [4], "engine": "batched",
+        }))
+        assert main(["sweep", str(spec), "-o", str(tmp_path / "out.jsonl")]) == 2
+        assert "unknown engine 'batched'" in capsys.readouterr().err
 
 
 class TestGracefulInterrupt:

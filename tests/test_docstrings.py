@@ -6,7 +6,7 @@ needing ruff installed, so the tier-1 suite catches regressions too.
 Scope (the docs pass, extended by the orchestration layer, the
 simulation replay kernels, the batched core, the trace store and the
 serving layer): ``repro.core.indexed``,
-``repro.core.batched``, every module of ``repro.instances``,
+``repro.core.batched``, ``repro.core.greedy``, every module of ``repro.instances``,
 ``repro.config``, every module of ``repro.experiments``,
 ``repro.core.allocate``, ``repro.sim.indexed``, ``repro.sim.kernel``,
 ``repro.sim.store``, every module of ``repro.serve`` and
@@ -26,6 +26,7 @@ CHECKED_FILES = sorted(
     [
         SRC / "core" / "indexed.py",
         SRC / "core" / "batched.py",
+        SRC / "core" / "greedy.py",
         SRC / "core" / "allocate.py",
         SRC / "config.py",
         SRC / "sim" / "indexed.py",

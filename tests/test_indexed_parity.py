@@ -8,20 +8,31 @@ hypothesis-driven tests exercise that contract on random unit-skew SMD,
 bounded-skew SMD and general MMD instances for every hot path the
 refactor touched: ``greedy``, ``greedy_feasible``,
 ``classify_and_select``, ``greedy_fill`` and ``solve_mmd``.
+
+Greedy has two array kernels, and :func:`repro.core.greedy.greedy_kernel_for`
+picks one from the instance's shape.  Each kernel is fuzzed against the
+dict engine on its own: called directly, and forced in place of the
+selector for the solvers built on Greedy.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import greedy as greedy_module
 from repro.core.assignment import Assignment
+from repro.core.batched import greedy_kernel_batched
 from repro.core.greedy import (
     best_single_stream_assignment,
     greedy,
     greedy_feasible,
 )
+from repro.core.indexed import greedy_kernel, index_instance
 from repro.core.skew import classify_and_select
 from repro.core.solver import best_single_stream_mmd, greedy_fill, solve_mmd
 from repro.instances.generators import (
@@ -34,9 +45,21 @@ from repro.instances.generators import (
 #: not scale, and hypothesis runs many examples.
 SIZES = st.tuples(st.integers(2, 14), st.integers(1, 10))
 
-#: Every array-native solver engine; each must be bit-identical to the
-#: dict engine.
-ARRAY_ENGINES = ["indexed", "batched"]
+#: Both array Greedy kernels, each bit-identical to the dict engine
+#: (ids: the single-pick kernel lives in ``repro.core.indexed``, the
+#: multi-pick one in ``repro.core.batched``).
+KERNELS = [
+    pytest.param(greedy_kernel, id="indexed"),
+    pytest.param(greedy_kernel_batched, id="batched"),
+]
+
+
+@contextmanager
+def forced_kernel(kernel):
+    """Run every ``indexed``-engine Greedy on ``kernel``, whatever the
+    instance's shape."""
+    with mock.patch.object(greedy_module, "greedy_kernel_for", lambda idx: kernel):
+        yield
 
 
 def smd_families(seed: int, num_streams: int, num_users: int, skew: float):
@@ -45,13 +68,22 @@ def smd_families(seed: int, num_streams: int, num_users: int, skew: float):
     return random_smd(num_streams, num_users, skew, seed=seed)
 
 
-@pytest.mark.parametrize("engine", ARRAY_ENGINES)
+@pytest.mark.parametrize("kernel", KERNELS)
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000), size=SIZES, skew=st.sampled_from([1.0, 2.0, 8.0, 64.0]))
-def test_greedy_trace_parity(engine, seed, size, skew):
+def test_greedy_trace_parity(kernel, seed, size, skew):
     instance = smd_families(seed, *size, skew)
     dict_trace = greedy(instance, engine="dict")
-    idx_trace = greedy(instance, engine=engine)
+    idx = index_instance(instance)
+    order, rejected, total_cost = kernel(idx, instance.budgets[0], [])
+    assert [
+        (idx.stream_ids[k], tuple(idx.user_ids_of(receivers)))
+        for k, receivers in order
+    ] == dict_trace.order
+    assert idx.stream_ids_of(rejected) == dict_trace.rejected_for_budget
+    assert total_cost == dict_trace.total_cost
+    with forced_kernel(kernel):
+        idx_trace = greedy(instance, engine="indexed")
     assert idx_trace.order == dict_trace.order
     assert idx_trace.rejected_for_budget == dict_trace.rejected_for_budget
     assert idx_trace.total_cost == dict_trace.total_cost
@@ -59,13 +91,14 @@ def test_greedy_trace_parity(engine, seed, size, skew):
     assert idx_trace.assignment.utility() == dict_trace.assignment.utility()
 
 
-@pytest.mark.parametrize("engine", ARRAY_ENGINES)
+@pytest.mark.parametrize("kernel", KERNELS)
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10_000), size=SIZES, skew=st.sampled_from([1.0, 4.0, 32.0]))
-def test_greedy_feasible_parity(engine, seed, size, skew):
+def test_greedy_feasible_parity(kernel, seed, size, skew):
     instance = smd_families(seed, *size, skew)
     dict_solution = greedy_feasible(instance, engine="dict")
-    idx_solution = greedy_feasible(instance, engine=engine)
+    with forced_kernel(kernel):
+        idx_solution = greedy_feasible(instance, engine="indexed")
     assert idx_solution.as_dict() == dict_solution.as_dict()
     assert idx_solution.utility() == dict_solution.utility()
 
@@ -111,13 +144,14 @@ def test_greedy_fill_parity(seed, size, skew):
     assert idx_fill.utility() == dict_fill.utility()
 
 
-@pytest.mark.parametrize("engine", ARRAY_ENGINES)
+@pytest.mark.parametrize("kernel", KERNELS)
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10_000), size=SIZES, skew=st.sampled_from([1.0, 4.0, 32.0]))
-def test_solve_mmd_parity_smd(engine, seed, size, skew):
+def test_solve_mmd_parity_smd(kernel, seed, size, skew):
     instance = smd_families(seed, *size, skew)
     dict_result = solve_mmd(instance, engine="dict")
-    idx_result = solve_mmd(instance, engine=engine)
+    with forced_kernel(kernel):
+        idx_result = solve_mmd(instance, engine="indexed")
     assert idx_result.utility == dict_result.utility
     assert idx_result.method == dict_result.method
     assert idx_result.assignment.as_dict() == dict_result.assignment.as_dict()
@@ -140,7 +174,7 @@ def test_best_single_stream_tie_breaks():
              {"s9": (0.0,), "s1": (0.0,), "s5": (0.0,)}),
     ]
     instance = MMDInstance(streams, users, (10.0,))
-    for engine in ["dict"] + ARRAY_ENGINES:
+    for engine in ["dict", "indexed"]:
         assignment = best_single_stream_assignment(instance, engine=engine)
         assert assignment.as_dict() == {"u0": {"s1"}}, engine  # smallest id
         mmd = best_single_stream_mmd(instance, engine=engine)
