@@ -32,6 +32,12 @@ FULL_SCALE = os.environ.get("REPRO_E11_SCALE", "full") != "small"
 NUM_USERS = 10_000 if FULL_SCALE else 1_000
 NUM_STREAMS = 1_000 if FULL_SCALE else 200
 MIN_SPEEDUP = 5.0
+#: Timed runs per path.  At small scale the paths run in milliseconds,
+#: where a single shot moves with host load spikes and with first-call
+#: costs in the bench process (the first dict Greedy call has taken 2-3x
+#: its repeats), so each path keeps its best of three; a full-scale dict
+#: run takes minutes and is timed once.
+ROUNDS = 1 if FULL_SCALE else 3
 
 
 def _timed(fn) -> "tuple[float, object]":
@@ -39,6 +45,15 @@ def _timed(fn) -> "tuple[float, object]":
     with timer:
         result = fn()
     return timer.elapsed, result
+
+
+def _timed_best(fn, rounds: int = ROUNDS) -> "tuple[float, object]":
+    """Best-of-``rounds`` wall time of a deterministic path."""
+    best, result = _timed(fn)
+    for _ in range(rounds - 1):
+        elapsed, result = _timed(fn)
+        best = min(best, elapsed)
+    return best, result
 
 
 def bench_e11_indexed_vs_dict(benchmark):
@@ -49,8 +64,12 @@ def bench_e11_indexed_vs_dict(benchmark):
             NUM_STREAMS, NUM_USERS, seed=42, density=0.05
         )
         index_instance(greedy_inst)  # build the cached lowering up front
-        t_greedy_idx, trace_idx = _timed(lambda: greedy(greedy_inst, engine="indexed"))
-        t_greedy_dict, trace_dict = _timed(lambda: greedy(greedy_inst, engine="dict"))
+        t_greedy_idx, trace_idx = _timed_best(
+            lambda: greedy(greedy_inst, engine="indexed")
+        )
+        t_greedy_dict, trace_dict = _timed_best(
+            lambda: greedy(greedy_inst, engine="dict")
+        )
         u_idx = trace_idx.assignment.utility()
         u_dict = trace_dict.assignment.utility()
 
@@ -60,10 +79,10 @@ def bench_e11_indexed_vs_dict(benchmark):
             NUM_STREAMS, NUM_USERS, 4.0, seed=7, density=0.005, budget_fraction=0.03
         )
         index_instance(solve_inst)
-        t_solve_idx, result_idx = _timed(
+        t_solve_idx, result_idx = _timed_best(
             lambda: solve_mmd(solve_inst, engine="indexed", try_allocate=False)
         )
-        t_solve_dict, result_dict = _timed(
+        t_solve_dict, result_dict = _timed_best(
             lambda: solve_mmd(solve_inst, engine="dict", try_allocate=False)
         )
         return {

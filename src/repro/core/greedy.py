@@ -71,6 +71,13 @@ SLACK_SHARE = 0.95
 #: slack caps; longer rows make each round's commit cost more than the
 #: single-pick argmaxes it saves.
 SLACK_ROW_LENGTH = 80.0
+#: Row length as a share of the catalog (``nnz/|S|²``) up to which caps
+#: that are slack only up to rounding count as slack.  A cap equal to
+#: its user's total utility, summed in another order, still binds by an
+#: ulp at the user's last pick about half the time; each such conflict
+#: ends a round, so on these caps the multi-pick kernel wins only when
+#: rows are short against the catalog.
+ROUNDED_SLACK_ROW_SHARE = 0.2
 
 
 def _require_single_budget(instance: MMDInstance) -> None:
@@ -264,14 +271,28 @@ def greedy_kernel_for(idx: IndexedInstance):
     only the instance's shape: the multi-pick kernel runs when the
     collision share is at most :data:`COLLISION_SHARE`, or when at
     least :data:`SLACK_SHARE` of the users are slack and rows are at
-    most :data:`SLACK_ROW_LENGTH` long.
+    most :data:`SLACK_ROW_LENGTH` long.  A cap within a relative
+    :data:`~repro.core.instance.FEASIBILITY_RTOL` of the user's total
+    counts as slack only while rows are at most
+    :data:`ROUNDED_SLACK_ROW_SHARE` of the catalog.
     """
     nnz, num_streams, num_users = idx.nnz, idx.num_streams, idx.num_users
     if nnz * nnz <= COLLISION_SHARE * num_streams * num_streams * num_users:
         return greedy_kernel_batched
     if nnz <= SLACK_ROW_LENGTH * num_streams:
+        caps = idx.utility_caps
         totals = np.bincount(idx.u_pair_user, weights=idx.u_w, minlength=num_users)
-        if np.count_nonzero(idx.utility_caps >= totals) >= SLACK_SHARE * num_users:
+        slack = caps >= totals * (1.0 - FEASIBILITY_RTOL)
+        # Slack beyond rounding: no summation order reaches the cap, and
+        # a user with one interest has no second pick to conflict with.
+        clear = slack & (
+            (caps >= totals * (1.0 + FEASIBILITY_RTOL)) | (np.diff(idx.u_indptr) <= 1)
+        )
+        needed = SLACK_SHARE * num_users
+        if np.count_nonzero(clear) >= needed or (
+            np.count_nonzero(slack) >= needed
+            and nnz <= ROUNDED_SLACK_ROW_SHARE * num_streams * num_streams
+        ):
             return greedy_kernel_batched
     return greedy_kernel
 

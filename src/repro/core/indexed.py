@@ -41,6 +41,7 @@ import numpy as np
 from repro.config import ENGINE_SETTINGS, resolve_engine_setting
 from repro.core.instance import FEASIBILITY_RTOL, MMDInstance, Stream, User
 from repro.exceptions import ValidationError
+from repro.util.validation import check_nonnegative
 
 #: Attribute under which the lowering is cached on the MMDInstance.
 _CACHE_ATTR = "_indexed_cache"
@@ -293,6 +294,26 @@ def _rank_of(ids: "list[str]") -> np.ndarray:
     return rank
 
 
+def _check_values(
+    name: str, values: np.ndarray, *, allow_inf: bool = False, positive: bool = False
+) -> None:
+    """Refuse what the dict model refuses, naming the first bad entry.
+
+    NaN and negative entries always fail, ``+inf`` unless ``allow_inf``,
+    and zero when ``positive`` (utilities are sparse).  One vectorized
+    pass over ``values``.
+    """
+    ok = values > 0 if positive else values >= 0
+    if not allow_inf:
+        ok &= values < np.inf
+    if ok.all():
+        return
+    at = np.unravel_index(int(np.argmin(ok)), ok.shape)
+    label = f"{name}[{', '.join(str(int(i)) for i in at)}]"
+    value = check_nonnegative(label, values[at], allow_inf=allow_inf)
+    raise ValidationError(f"{label} must be positive, got {value}")
+
+
 def build_indexed(
     *,
     stream_ids: "list[str]",
@@ -319,7 +340,18 @@ def build_indexed(
     dict instance) and the vectorized generators (array-native
     construction) funnel through here, so the derived layout is
     identical no matter which side produced the arrays.
+
+    Values are checked as :class:`MMDInstance` checks them: costs, loads
+    and utilities finite and nonnegative (utilities positive), budgets,
+    utility caps and capacities nonnegative or ``+inf``; a NaN or a
+    negative entry raises :class:`ValidationError`.
     """
+    _check_values("stream_costs", stream_costs)
+    _check_values("budgets", budgets, allow_inf=True)
+    _check_values("utility_caps", utility_caps, allow_inf=True)
+    _check_values("capacities", capacities, allow_inf=True)
+    _check_values("u_w", u_w, positive=True)
+    _check_values("u_loads", u_loads)
     num_streams, num_users = len(stream_ids), len(user_ids)
     degrees = np.diff(u_indptr)
     u_pair_user = np.repeat(np.arange(num_users, dtype=np.int64), degrees)

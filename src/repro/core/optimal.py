@@ -24,6 +24,11 @@ MILP formulation (capped-utility objective)::
 
 For feasible assignments with infinite caps the objective equals the
 paper's plain summed utility.
+
+SciPy is imported only inside the functions that build or solve an LP or
+MILP (:func:`scipy_highs`), so importing this module, the package root or
+any serving, simulation or sweep path loads numpy alone; SciPy comes with
+the ``exact`` extra (``pip install 'repro-mmd[exact]'``).
 """
 
 from __future__ import annotations
@@ -33,12 +38,26 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from repro.core.assignment import Assignment
 from repro.core.instance import FEASIBILITY_RTOL, MMDInstance
 from repro.exceptions import SolverError
+
+
+def scipy_highs():
+    """Return ``(scipy.sparse, scipy.optimize)`` for the LP/MILP solvers.
+
+    Raises :class:`ImportError` naming the ``exact`` extra when SciPy is
+    not installed.
+    """
+    try:
+        from scipy import optimize, sparse
+    except ImportError as exc:
+        raise ImportError(
+            "the exact LP/MILP solvers need SciPy >= 1.9; "
+            "install it with: pip install 'repro-mmd[exact]'"
+        ) from exc
+    return sparse, optimize
 
 
 @dataclass
@@ -85,7 +104,8 @@ class _MilpModel:
             c[idx] = -1.0  # milp/linprog minimize
         return c
 
-    def constraints(self) -> "LinearConstraint":
+    def constraints(self) -> "scipy.optimize.LinearConstraint":
+        sparse, optimize = scipy_highs()
         rows: "list[int]" = []
         cols: "list[int]" = []
         data: "list[float]" = []
@@ -147,16 +167,17 @@ class _MilpModel:
         matrix = sparse.csr_matrix(
             (data, (rows, cols)), shape=(row, self.num_vars)
         )
-        return LinearConstraint(matrix, np.array(lower), np.array(upper))
+        return optimize.LinearConstraint(matrix, np.array(lower), np.array(upper))
 
-    def bounds(self) -> Bounds:
+    def bounds(self) -> "scipy.optimize.Bounds":
+        _, optimize = scipy_highs()
         lb = np.zeros(self.num_vars)
         ub = np.ones(self.num_vars)
         for u in self.instance.users:
             idx = self.t_index[u.user_id]
             total = sum(u.utilities.values())
             ub[idx] = min(u.utility_cap, total)
-        return Bounds(lb, ub)
+        return optimize.Bounds(lb, ub)
 
     def integrality(self) -> np.ndarray:
         kinds = np.ones(self.num_vars)
@@ -179,10 +200,11 @@ def solve_exact_milp(instance: MMDInstance) -> ExactSolution:
     optimality (MMD always has the feasible empty assignment, so
     infeasibility indicates a modeling bug).
     """
+    _, optimize = scipy_highs()
     model = _MilpModel(instance)
     if not model.pairs:
         return ExactSolution(Assignment(instance), 0.0, "optimal")
-    result = milp(
+    result = optimize.milp(
         model.objective(),
         constraints=model.constraints(),
         bounds=model.bounds(),
@@ -194,14 +216,12 @@ def solve_exact_milp(instance: MMDInstance) -> ExactSolution:
     return ExactSolution(assignment, assignment.utility(), "optimal")
 
 
-def lp_upper_bound(instance: MMDInstance) -> float:
-    """Fractional relaxation value — an upper bound on the exact optimum."""
-    model = _MilpModel(instance)
-    if not model.pairs:
-        return 0.0
+def solve_relaxation(model: _MilpModel):
+    """HiGHS solution of ``model``'s LP relaxation (a SciPy ``OptimizeResult``)."""
+    _, optimize = scipy_highs()
     constraint = model.constraints()
     bounds = model.bounds()
-    result = linprog(
+    result = optimize.linprog(
         model.objective(),
         A_ub=constraint.A,
         b_ub=constraint.ub,
@@ -210,7 +230,16 @@ def lp_upper_bound(instance: MMDInstance) -> float:
     )
     if not result.success:
         raise SolverError(f"LP relaxation failed: {result.message}")
-    return float(-result.fun)
+    return result
+
+
+def lp_upper_bound(instance: MMDInstance) -> float:
+    """Fractional relaxation value — an upper bound on the exact optimum."""
+    scipy_highs()  # refuse without SciPy whatever the instance
+    model = _MilpModel(instance)
+    if not model.pairs:
+        return 0.0
+    return float(-solve_relaxation(model).fun)
 
 
 def _user_best_subsets(instance: MMDInstance, transmitted: "tuple[str, ...]") -> float:

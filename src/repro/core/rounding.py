@@ -18,31 +18,19 @@ import numpy as np
 
 from repro.core.assignment import Assignment
 from repro.core.instance import MMDInstance
-from repro.core.optimal import _MilpModel
+from repro.core.optimal import _MilpModel, scipy_highs, solve_relaxation
 from repro.core.solver import greedy_fill
-from repro.exceptions import SolverError
 from repro.util.rng import ensure_rng
 
 
 def fractional_solution(instance: MMDInstance) -> "tuple[dict[str, float], dict[tuple[str, str], float]]":
     """Solve the LP relaxation; returns (x values per stream, y values per
     (user, stream) pair)."""
-    from scipy.optimize import linprog
-
+    scipy_highs()  # refuse without SciPy whatever the instance
     model = _MilpModel(instance)
     if not model.pairs:
         return {}, {}
-    constraint = model.constraints()
-    bounds = model.bounds()
-    result = linprog(
-        model.objective(),
-        A_ub=constraint.A,
-        b_ub=constraint.ub,
-        bounds=list(zip(bounds.lb, bounds.ub)),
-        method="highs",
-    )
-    if not result.success:
-        raise SolverError(f"LP relaxation failed: {result.message}")
+    result = solve_relaxation(model)
     x_values = {sid: float(result.x[model.x_index[sid]]) for sid in model.stream_ids}
     y_values = {
         pair: float(result.x[col]) for pair, col in model.y_index.items()

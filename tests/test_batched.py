@@ -204,6 +204,33 @@ class TestKernelSelector:
         idx = generate_unit_skew_smd(streams, users, seed=42, density=0.05)
         assert greedy_kernel_for(idx) is greedy_kernel
 
+    @pytest.mark.parametrize(
+        "streams, users, density",
+        [(1_000, 10_000, 0.005), (500, 5_000, 0.01), (200, 1_000, 0.02)],
+    )
+    def test_caps_equal_to_row_sums_pick_batched(self, streams, users, density):
+        """``cap_fraction=1.0`` sets each cap to its row sum, summed in
+        another order than the selector's ``bincount``: the rounding
+        tolerance counts those users slack, and on rows short against
+        the catalog the multi-pick kernel runs."""
+        idx = generate_unit_skew_smd(
+            streams, users, seed=42, density=density, cap_fraction=1.0
+        )
+        totals = np.bincount(idx.u_pair_user, weights=idx.u_w,
+                             minlength=idx.num_users)
+        assert np.mean(idx.utility_caps >= totals) < greedy_module.SLACK_SHARE
+        assert greedy_kernel_for(idx) is greedy_kernel_batched
+
+    @pytest.mark.parametrize("users", [500, 1_000, 2_000])
+    def test_caps_equal_to_row_sums_on_long_rows_pick_single(self, users):
+        """Rounded caps still bind by an ulp at a user's last pick; with
+        rows of 40 on a 50-stream catalog those conflicts cut every
+        round short and the single-pick kernel wins."""
+        idx = generate_unit_skew_smd(
+            50, users, seed=1, density=40 / users, cap_fraction=1.0
+        )
+        assert greedy_kernel_for(idx) is greedy_kernel
+
     def test_greedy_runs_the_selected_kernel(self):
         """The default engine runs exactly the kernel the selector names,
         and its trace equals the dict engine's."""

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.indexed import IndexedInstance, ensure_indexed, ensure_instance, index_instance
+from repro.core.indexed import (
+    IndexedInstance,
+    build_indexed,
+    ensure_indexed,
+    ensure_instance,
+    index_instance,
+)
 from repro.core.instance import MMDInstance
 from repro.core.solver import solve_many, solve_mmd
 from repro.exceptions import ValidationError
@@ -172,6 +178,60 @@ class TestEngines:
             generate_mmd(5, 4, 0, 1, seed=1)
         with pytest.raises(ValidationError):
             generate_small_streams_mmd(5, 4, headroom=0.5, seed=1)
+
+
+class TestValueChecks:
+    """The array engine refuses the values the dict model refuses."""
+
+    @pytest.mark.parametrize("engine", ["vectorized", "loop"])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"cost_range": (-3.0, -1.0)}, {"utility_range": (-3.0, -1.0)}],
+        ids=["costs", "utilities"],
+    )
+    def test_negative_draws_raise_on_both_engines(self, engine, kwargs):
+        with pytest.raises(ValidationError, match="must be nonnegative"):
+            generate_mmd(5, 6, 2, 1, seed=1, engine=engine, **kwargs)
+
+    @staticmethod
+    def _rebuild(idx: IndexedInstance, **arrays) -> IndexedInstance:
+        fields = {
+            name: getattr(idx, name).copy()
+            for name in ("stream_costs", "budgets", "utility_caps",
+                         "capacities", "u_indptr", "u_stream", "u_w", "u_loads")
+        }
+        for name, (at, value) in arrays.items():
+            fields[name][at] = value
+        return build_indexed(
+            stream_ids=idx.stream_ids, user_ids=idx.user_ids, **fields
+        )
+
+    @pytest.mark.parametrize(
+        "name, at, value, message",
+        [
+            ("stream_costs", (2, 1), np.nan, r"stream_costs\[2, 1\] must not be NaN"),
+            ("stream_costs", (0, 0), np.inf, "must be finite"),
+            ("budgets", 1, -1.0, r"budgets\[1\] must be nonnegative"),
+            ("budgets", 0, np.nan, "must not be NaN"),
+            ("utility_caps", 3, -0.5, "must be nonnegative"),
+            ("capacities", (4, 0), np.nan, "must not be NaN"),
+            ("u_loads", (0, 0), -2.0, r"u_loads\[0, 0\] must be nonnegative"),
+            ("u_w", 1, np.nan, "must not be NaN"),
+            ("u_w", 1, 0.0, "must be positive"),
+        ],
+    )
+    def test_build_indexed_refuses_bad_values(self, name, at, value, message):
+        idx = generate_mmd(5, 6, 2, 1, seed=1)
+        with pytest.raises(ValidationError, match=message):
+            self._rebuild(idx, **{name: (at, value)})
+
+    def test_unbounded_budgets_and_caps_are_accepted(self):
+        idx = generate_mmd(5, 6, 2, 1, seed=1)
+        rebuilt = self._rebuild(
+            idx, budgets=(0, np.inf), utility_caps=(2, np.inf),
+            capacities=((1, 0), np.inf),
+        )
+        assert rebuilt.lift().users[2].utility_cap == np.inf
 
 
 class TestFamilyProperties:
