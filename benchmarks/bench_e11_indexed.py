@@ -18,6 +18,7 @@ The dict engine needs minutes at full scale (that is the point); set
 
 from __future__ import annotations
 
+import math
 import os
 
 from repro.core.greedy import greedy
@@ -32,12 +33,12 @@ FULL_SCALE = os.environ.get("REPRO_E11_SCALE", "full") != "small"
 NUM_USERS = 10_000 if FULL_SCALE else 1_000
 NUM_STREAMS = 1_000 if FULL_SCALE else 200
 MIN_SPEEDUP = 5.0
-#: Timed runs per path.  At small scale the paths run in milliseconds,
+#: Timed rounds per path.  At small scale the paths run in milliseconds,
 #: where a single shot moves with host load spikes and with first-call
 #: costs in the bench process (the first dict Greedy call has taken 2-3x
-#: its repeats), so each path keeps its best of three; a full-scale dict
-#: run takes minutes and is timed once.
-ROUNDS = 1 if FULL_SCALE else 3
+#: its repeats), so each path keeps its best of five rounds; a full-scale
+#: dict run takes minutes and is timed once.
+ROUNDS = 1 if FULL_SCALE else 5
 
 
 def _timed(fn) -> "tuple[float, object]":
@@ -47,13 +48,19 @@ def _timed(fn) -> "tuple[float, object]":
     return timer.elapsed, result
 
 
-def _timed_best(fn, rounds: int = ROUNDS) -> "tuple[float, object]":
-    """Best-of-``rounds`` wall time of a deterministic path."""
-    best, result = _timed(fn)
-    for _ in range(rounds - 1):
-        elapsed, result = _timed(fn)
-        best = min(best, elapsed)
-    return best, result
+def _timed_pair(indexed, dict_engine) -> "tuple[float, object, float, object]":
+    """Best-of-:data:`ROUNDS` times of the two engines' paths.
+
+    Each round times both back to back, so a load spike on a shared
+    host meets both sides of the speedup ratio alike.
+    """
+    best = [math.inf, math.inf]
+    results: "list[object]" = [None, None]
+    for _ in range(ROUNDS):
+        for side, fn in enumerate((indexed, dict_engine)):
+            elapsed, results[side] = _timed(fn)
+            best[side] = min(best[side], elapsed)
+    return best[0], results[0], best[1], results[1]
 
 
 def bench_e11_indexed_vs_dict(benchmark):
@@ -64,11 +71,9 @@ def bench_e11_indexed_vs_dict(benchmark):
             NUM_STREAMS, NUM_USERS, seed=42, density=0.05
         )
         index_instance(greedy_inst)  # build the cached lowering up front
-        t_greedy_idx, trace_idx = _timed_best(
-            lambda: greedy(greedy_inst, engine="indexed")
-        )
-        t_greedy_dict, trace_dict = _timed_best(
-            lambda: greedy(greedy_inst, engine="dict")
+        t_greedy_idx, trace_idx, t_greedy_dict, trace_dict = _timed_pair(
+            lambda: greedy(greedy_inst, engine="indexed"),
+            lambda: greedy(greedy_inst, engine="dict"),
         )
         u_idx = trace_idx.assignment.utility()
         u_dict = trace_dict.assignment.utility()
@@ -79,11 +84,9 @@ def bench_e11_indexed_vs_dict(benchmark):
             NUM_STREAMS, NUM_USERS, 4.0, seed=7, density=0.005, budget_fraction=0.03
         )
         index_instance(solve_inst)
-        t_solve_idx, result_idx = _timed_best(
-            lambda: solve_mmd(solve_inst, engine="indexed", try_allocate=False)
-        )
-        t_solve_dict, result_dict = _timed_best(
-            lambda: solve_mmd(solve_inst, engine="dict", try_allocate=False)
+        t_solve_idx, result_idx, t_solve_dict, result_dict = _timed_pair(
+            lambda: solve_mmd(solve_inst, engine="indexed", try_allocate=False),
+            lambda: solve_mmd(solve_inst, engine="dict", try_allocate=False),
         )
         return {
             "greedy": (t_greedy_dict, t_greedy_idx, u_dict, u_idx),

@@ -77,7 +77,7 @@ SLACK_ROW_LENGTH = 80.0
 #: ulp at the user's last pick about half the time; each such conflict
 #: ends a round, so on these caps the multi-pick kernel wins only when
 #: rows are short against the catalog.
-ROUNDED_SLACK_ROW_SHARE = 0.2
+ROUNDED_SLACK_ROW_SHARE = 0.05
 
 
 def _require_single_budget(instance: MMDInstance) -> None:

@@ -236,11 +236,15 @@ class IndexedInstance:
 
     def stream_ids_of(self, indices) -> "list[str]":
         """Map stream indices back to string ids."""
+        if isinstance(indices, np.ndarray):
+            indices = indices.tolist()  # Python ints, not numpy scalars
         table = self.stream_ids
         return [table[int(k)] for k in indices]
 
     def user_ids_of(self, indices) -> "list[str]":
         """Map user indices back to string ids."""
+        if isinstance(indices, np.ndarray):
+            indices = indices.tolist()  # Python ints, not numpy scalars
         table = self.user_ids
         return [table[int(u)] for u in indices]
 
@@ -525,6 +529,19 @@ def greedy_kernel(
     order: "list[tuple[int, np.ndarray]]" = []
     rejected: "list[int]" = []
     total_cost = 0.0
+    # Selection key per stream: cost effectiveness w̄(S)/c(S) (free
+    # streams: inf if w̄ > 0 else 0), -inf once S is no candidate.  A
+    # rejection changes no w̄, so keys are recomputed only after a pick
+    # that moved some w̄.
+    positive_cost = costs0 > 0.0
+    free = None if positive_cost.all() else ~positive_cost
+    keys = np.empty(num_streams)
+
+    def rekey() -> None:
+        np.divide(wbar, costs0, out=keys, where=positive_cost)
+        if free is not None:
+            keys[free] = np.where(wbar[free] > 0.0, math.inf, 0.0)
+        keys[~candidates] = -math.inf
 
     def assign(k: int) -> np.ndarray:
         """Deliver stream ``k`` to every positive-headroom user; update
@@ -553,39 +570,35 @@ def greedy_kernel(
             oc = np.repeat(old_clip[changed], counts)
             # Deltas land receiver-by-receiver, row order inside each —
             # the dict loop's exact accumulation sequence.  Non-candidate
-            # targets (and k itself, dropped right after) also get the
-            # delta; their wbar entries are dead and never read.
+            # targets (k itself among them) also get the delta; their
+            # wbar entries are dead and never read.
             np.add.at(wbar, targets, np.minimum(w2, nc) - np.minimum(w2, oc))
+            rekey()
         return receivers
 
     for k in initial:
+        candidates[k] = False
         receivers = assign(k)
         order.append((k, receivers))
         total_cost += float(costs0[k])
-        candidates[k] = False
     if total_cost > cap * (1 + rtol):
         raise ValidationError("initial streams already exceed the budget")
 
-    effectiveness = np.empty(num_streams)
-    while candidates.any():
-        # Cost effectiveness w̄(S)/c(S); free streams: inf if w̄ > 0 else 0.
-        positive_cost = costs0 > 0.0
-        np.divide(wbar, costs0, out=effectiveness, where=positive_cost)
-        if not positive_cost.all():
-            free = ~positive_cost
-            effectiveness[free] = np.where(wbar[free] > 0.0, math.inf, 0.0)
+    rekey()
+    # Each pass drops one candidate, or stops.
+    for _ in range(int(np.count_nonzero(candidates))):
         # argmax of (effectiveness, wbar, -lexicographic rank) — the dict
         # code's min over (-eff, -wbar, stream_id).
-        masked = np.where(candidates, effectiveness, -math.inf)
-        best_eff = masked.max()
-        tied = masked == best_eff
-        masked_wbar = np.where(tied, wbar, -math.inf)
-        best_wbar = masked_wbar.max()
-        tied &= masked_wbar == best_wbar
-        ranks = np.where(tied, idx.stream_rank, num_streams + 1)
-        k = int(ranks.argmin())
+        k = int(keys.argmax())
+        tied = keys == keys[k]
+        if np.count_nonzero(tied) > 1:
+            tied_wbar = np.where(tied, wbar, -math.inf)
+            tied &= tied_wbar == tied_wbar.max()
+            k = int(np.where(tied, idx.stream_rank, num_streams + 1).argmin())
         if wbar[k] <= 0.0:
             break  # every remaining stream would be assigned to nobody
+        candidates[k] = False
+        keys[k] = -math.inf
         cost = float(costs0[k])
         if total_cost + cost <= cap * (1 + rtol):
             receivers = assign(k)
@@ -593,7 +606,6 @@ def greedy_kernel(
             total_cost += cost
         else:
             rejected.append(k)
-        candidates[k] = False
     return order, rejected, total_cost
 
 

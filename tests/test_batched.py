@@ -206,7 +206,7 @@ class TestKernelSelector:
 
     @pytest.mark.parametrize(
         "streams, users, density",
-        [(1_000, 10_000, 0.005), (500, 5_000, 0.01), (200, 1_000, 0.02)],
+        [(1_000, 10_000, 0.004), (1_000, 5_000, 0.008), (500, 2_500, 0.008)],
     )
     def test_caps_equal_to_row_sums_pick_batched(self, streams, users, density):
         """``cap_fraction=1.0`` sets each cap to its row sum, summed in
@@ -225,7 +225,8 @@ class TestKernelSelector:
     def test_caps_equal_to_row_sums_on_long_rows_pick_single(self, users):
         """Rounded caps still bind by an ulp at a user's last pick; with
         rows of 40 on a 50-stream catalog those conflicts cut every
-        round short and the single-pick kernel wins."""
+        round short and the single-pick kernel wins (the exact slack
+        test alone counted the 1,000-user shape slack)."""
         idx = generate_unit_skew_smd(
             50, users, seed=1, density=40 / users, cap_fraction=1.0
         )
