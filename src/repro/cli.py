@@ -55,8 +55,8 @@ from repro.core.allocate import global_skew_parameters, small_streams_condition
 from repro.core.instance import MMDInstance
 from repro.core.optimal import lp_upper_bound, solve_exact_milp
 from repro.core.solver import solve_mmd, theorem_1_1_bound
-from repro.config import ENGINE_SETTINGS
-from repro.exceptions import ValidationError
+from repro.config import DEFAULT_STORE_CHUNK, ENGINE_SETTINGS
+from repro.exceptions import MissingDependencyError, ValidationError
 from repro.experiments.spec import ScenarioSpec, SpecError
 from repro.instances.generators import (
     random_mmd,
@@ -73,7 +73,7 @@ from repro.instances.workloads import (
 from repro.util.tables import Table
 
 def _gen_engine(args: argparse.Namespace) -> "str | None":
-    """The ``--gen-engine`` choice (None resolves via $REPRO_GEN_ENGINE)."""
+    """The ``--gen-engine`` choice (None = the generator's own default)."""
     return getattr(args, "gen_engine", None)
 
 
@@ -737,26 +737,19 @@ def cmd_serve_run(args: argparse.Namespace) -> int:
     import asyncio
     import signal
 
-    from repro.config import (
-        resolve_commit_batch,
-        resolve_commit_linger_ms,
-        resolve_durability,
-    )
     from repro.serve.http import AdmissionHTTPService
     from repro.serve.service import MANIFEST_NAME, AdmissionCore, ServeConfig
 
     root = Path(args.dir)
-    # Arg > env > default resolution happens here (the dataclass's own
-    # defaults would shadow the environment otherwise); junk is loud.
+    # Validated before the directory is touched; junk is loud.
     config = ServeConfig(
         snapshot_every=args.snapshot_every,
-        durability=resolve_durability(args.durability),
+        durability=args.durability,
         max_pending=args.max_pending,
         max_wait=args.max_wait,
         retry_after=args.retry_after,
-        commit_batch=resolve_commit_batch(args.commit_batch),
-        commit_linger_ms=resolve_commit_linger_ms(args.commit_linger_ms),
-    )
+        commit_batch=args.commit_batch,
+    ).validated()
     if (root / MANIFEST_NAME).exists():
         core = AdmissionCore.restore(root, config=config)
     else:
@@ -779,7 +772,6 @@ def cmd_serve_run(args: argparse.Namespace) -> int:
             "queue_depth": queue["queue_depth"],
             "durability": config.durability,
             "commit_batch": config.commit_batch,
-            "commit_linger_ms": config.commit_linger_ms,
             "restore": core.restore_info,
         }), flush=True)
         loop = asyncio.get_running_loop()
@@ -881,7 +873,7 @@ def build_parser() -> argparse.ArgumentParser:
                      default=None,
                      help="draw engine for the random families (default: loop for "
                      "seed-compatible output; vectorized draws whole instances "
-                     "with batched numpy calls; $REPRO_GEN_ENGINE overrides)")
+                     "with batched numpy calls)")
     gen.add_argument("--output", "-o", default="-")
     gen.set_defaults(func=cmd_generate)
 
@@ -953,8 +945,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="simulation engine (default: indexed — array-native "
                      "trace draw and decision-point replay; batched answers "
                      "order-free policies through a decision map; dict "
-                     "keeps the original event loop; $REPRO_SIM_ENGINE "
-                     "overrides)")
+                     "keeps the original event loop)")
     sim.add_argument("--parallel", "-j", type=int, default=1,
                      help="worker processes, one policy replay each "
                      "(1 = in-process)")
@@ -965,7 +956,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--window", type=float, default=None,
                      help="stream the store in time windows of this width "
                      "(bounded memory; float-identical to monolithic replay; "
-                     "$REPRO_STORE_WINDOW overrides; needs --trace-store)")
+                     "needs --trace-store)")
     sim.set_defaults(func=cmd_simulate)
 
     trace = sub.add_parser(
@@ -993,8 +984,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_write.add_argument("--seed", type=int, default=0)
     trace_write.add_argument("--chunk", type=int, default=None,
                              help="draw/append chunk size in events — part of "
-                             "the determinism contract ($REPRO_STORE_CHUNK "
-                             "overrides)")
+                             f"the determinism contract (default: {DEFAULT_STORE_CHUNK})")
     trace_write.add_argument("--from-json", default=None, metavar="FILE",
                              help="convert a saved SessionEvent JSON trace "
                              "instead of drawing one")
@@ -1075,7 +1065,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim_many.add_argument("--engine",
                           choices=ENGINE_SETTINGS["simulation"].choices,
                           default=None,
-                          help="simulation engine ($REPRO_SIM_ENGINE overrides)")
+                          help="simulation engine (default: indexed)")
     sim_many.add_argument("--trace-store", default=None, metavar="DIR",
                           help="shard one shared on-disk trace store across "
                           "the grid instead of drawing per-cell traces")
@@ -1114,16 +1104,11 @@ def build_parser() -> argparse.ArgumentParser:
                            "printed as JSON on startup)")
     serve_run.add_argument("--snapshot-every", type=int, default=1024,
                            help="WAL records between atomic state snapshots")
-    serve_run.add_argument("--durability", default=None,
+    serve_run.add_argument("--durability", default="fsync",
                            help="WAL durability: fsync survives power loss, "
-                           "flush survives process death only (default: "
-                           "$REPRO_SERVE_DURABILITY, then fsync)")
-    serve_run.add_argument("--commit-batch", type=int, default=None,
-                           help="max decisions group-committed per WAL fsync "
-                           "(default: $REPRO_COMMIT_BATCH, then 1)")
-    serve_run.add_argument("--commit-linger-ms", type=float, default=None,
-                           help="ms a shallow commit queue waits for company "
-                           "(default: $REPRO_COMMIT_LINGER_MS, then 0)")
+                           "flush survives process death only")
+    serve_run.add_argument("--commit-batch", type=int, default=1,
+                           help="max decisions group-committed per WAL fsync")
     serve_run.add_argument("--max-pending", type=int, default=64,
                            help="admission-queue depth before load shedding")
     serve_run.add_argument("--max-wait", type=float, default=0.5,
@@ -1146,9 +1131,9 @@ def main(argv: "list[str] | None" = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as error:
-        # Bad input — including an invalid $REPRO_*_ENGINE smuggled in
-        # through the environment — is a usage error (exit code 2, like
+    except (ValidationError, MissingDependencyError) as error:
+        # Bad input, or a command that needs an optional dependency that
+        # is not installed, is a usage error (exit code 2, like
         # argparse), not a traceback.
         print(f"error: {error}", file=sys.stderr)
         return 2

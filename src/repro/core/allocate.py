@@ -71,7 +71,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.config import DEFAULT_CHARGE_RESYNC, resolve_charge_resync
 from repro.core.assignment import Assignment
 from repro.core.indexed import (
     IndexedInstance,
@@ -82,16 +81,13 @@ from repro.core.indexed import (
 from repro.core.instance import FEASIBILITY_RTOL, MMDInstance
 from repro.exceptions import ValidationError
 
-#: Default commits/releases between defensive full recomputes of the
-#: cached exponential charges (the float-drift guard).  The per-entry
-#: cache writes are themselves exact recomputes of ``µ^L``, so the
-#: periodic resync is a bit-wise no-op by construction — it exists to
-#: pin that invariant at runtime, cheaply, for the 10⁶-event
-#: simulations.  Configurable per allocator via the ``charge_resync``
-#: constructor argument, or globally via ``$REPRO_CHARGE_RESYNC``
-#: (resolved by :func:`repro.config.resolve_charge_resync`; this
-#: constant re-exports :data:`repro.config.DEFAULT_CHARGE_RESYNC`).
-CHARGE_RESYNC_INTERVAL = DEFAULT_CHARGE_RESYNC
+#: Commits/releases between defensive full recomputes of the cached
+#: exponential charges (the float-drift guard).  The per-entry cache
+#: writes are themselves exact recomputes of ``µ^L``, so the periodic
+#: resync is a bit-wise no-op by construction — it exists to pin that
+#: invariant at runtime, cheaply: frequent enough to run in every long
+#: replay, rare enough to vanish in 10⁶-event simulations.
+CHARGE_RESYNC_INTERVAL = 4096
 
 
 def global_skew_parameters(
@@ -201,13 +197,6 @@ class OnlineAllocator:
         defaults to ``2γD + 2``.
     enforce_budgets:
         Hard admission guard (see module docstring).
-    charge_resync:
-        Commits/releases between drift-guard
-        :meth:`resync_charges` runs.  ``None`` resolves through
-        :func:`repro.config.resolve_charge_resync`
-        (``$REPRO_CHARGE_RESYNC`` override, default
-        :data:`CHARGE_RESYNC_INTERVAL`); bad values raise
-        :class:`~repro.exceptions.ValidationError` loudly.
     """
 
     def __init__(
@@ -215,12 +204,10 @@ class OnlineAllocator:
         instance: "MMDInstance | IndexedInstance",
         mu: "float | None" = None,
         enforce_budgets: bool = True,
-        charge_resync: "int | None" = None,
     ) -> None:
         idx = ensure_indexed(instance)
         self._idx = idx
         self.enforce_budgets = enforce_budgets
-        self.charge_resync = resolve_charge_resync(charge_resync)
         self.gamma, default_mu, self.d = global_skew_parameters(idx)
         self.mu = default_mu if mu is None else float(mu)
         if self.mu <= 1.0:
@@ -417,7 +404,7 @@ class OnlineAllocator:
         the periodic drift-guard resync."""
         self._epoch += 1
         self._ops_since_resync += 1
-        if self._ops_since_resync >= self.charge_resync:
+        if self._ops_since_resync >= CHARGE_RESYNC_INTERVAL:
             self.resync_charges()
 
     def resync_charges(self) -> None:
@@ -426,7 +413,7 @@ class OnlineAllocator:
         Because the incremental writes are already exact per-entry
         recomputes, this is a bit-wise no-op (asserted in
         ``tests/test_allocate.py``); it runs every
-        :attr:`charge_resync` commits/releases as a cheap
+        :data:`CHARGE_RESYNC_INTERVAL` commits/releases as a cheap
         runtime pin of that invariant, and gives any subclass that
         swaps in genuinely multiplicative updates a bounded-drift story.
         """

@@ -216,8 +216,7 @@ def greedy(
         ``"indexed"`` (default) runs the array kernel that
         :func:`greedy_kernel_for` picks from the instance's shape;
         ``"dict"`` runs the original string-keyed implementation.  Both
-        engines produce bit-identical traces; the default may be
-        overridden with ``$REPRO_ENGINE``.
+        engines produce bit-identical traces.
 
     Returns a :class:`GreedyTrace` whose assignment is semi-feasible:
     the server budget holds, and each user may exceed his utility cap

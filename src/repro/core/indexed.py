@@ -46,14 +46,11 @@ from repro.util.validation import check_nonnegative
 #: Attribute under which the lowering is cached on the MMDInstance.
 _CACHE_ATTR = "_indexed_cache"
 
-#: Environment variable selecting the default engine for the hot paths.
-ENGINE_ENV = ENGINE_SETTINGS["solver"].env
-
 _ENGINES = ENGINE_SETTINGS["solver"].choices
 
 
 def resolve_engine(engine: "str | None" = None) -> str:
-    """Resolve an engine name: explicit argument > $REPRO_ENGINE > indexed.
+    """Resolve an engine name: explicit argument, else ``indexed``.
 
     Delegates to the shared :mod:`repro.config` resolver (kind
     ``"solver"``); kept as the historical front door.

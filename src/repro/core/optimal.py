@@ -41,19 +41,20 @@ import numpy as np
 
 from repro.core.assignment import Assignment
 from repro.core.instance import FEASIBILITY_RTOL, MMDInstance
-from repro.exceptions import SolverError
+from repro.exceptions import MissingDependencyError, SolverError
 
 
 def scipy_highs():
     """Return ``(scipy.sparse, scipy.optimize)`` for the LP/MILP solvers.
 
-    Raises :class:`ImportError` naming the ``exact`` extra when SciPy is
-    not installed.
+    Raises :class:`~repro.exceptions.MissingDependencyError` (an
+    :class:`ImportError`) naming the ``exact`` extra when SciPy is not
+    installed.
     """
     try:
         from scipy import optimize, sparse
     except ImportError as exc:
-        raise ImportError(
+        raise MissingDependencyError(
             "the exact LP/MILP solvers need SciPy >= 1.9; "
             "install it with: pip install 'repro-mmd[exact]'"
         ) from exc

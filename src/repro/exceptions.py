@@ -33,5 +33,10 @@ class SimulationError(ReproError):
     """The discrete-event simulation reached an inconsistent state."""
 
 
-class NotNormalizedError(ReproError):
-    """An operation requires a skew-normalized instance (see paper §3)."""
+class MissingDependencyError(ReproError, ImportError):
+    """An optional dependency a call needs is not installed.
+
+    Raised, for example, by the exact LP/MILP solvers when SciPy (the
+    ``exact`` extra) is missing; the message names what to install.
+    It is an :class:`ImportError` too, so existing import checks hold.
+    """

@@ -43,14 +43,6 @@ from repro.experiments.checkpoint import (  # noqa: F401  (re-exports)
     CheckpointLock,
     CheckpointWriter,
     read_checkpoint,
-    row_text as _row_text,
-)
-from repro.experiments.execute import (  # noqa: F401  (re-exports)
-    _execute_sim_unit,
-    _execute_solve_unit,
-    _sim_policy,
-    _sim_workloads,
-    execute_item as _execute_item,
 )
 from repro.experiments.spec import ScenarioSpec, resolve_spec
 from repro.experiments.transport.local import run_units

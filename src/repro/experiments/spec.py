@@ -145,7 +145,8 @@ class ScenarioSpec:
     method:
         Class solver for solve specs (``"greedy"`` / ``"enumeration"``).
     engine / gen_engine / sim_engine:
-        Engine overrides (``None`` = resolve via :mod:`repro.config`).
+        Engine choices (``None`` = the generator's or seam's own
+        default; see :mod:`repro.config`).
     params:
         Extra generator keyword arguments (``density``,
         ``budget_fraction``, ``m``, ``mc``, ``headroom``, …).

@@ -21,10 +21,9 @@ The four random families take an ``engine`` argument:
   equally distributed draws for the same seed; ~10–100× faster at
   scale).
 
-``$REPRO_GEN_ENGINE`` overrides the default.  :func:`sweep_instances`
-defaults to the vectorized engine and then yields **array-native**
-:class:`~repro.core.indexed.IndexedInstance` objects, which every
-solver entry point accepts directly.
+:func:`sweep_instances` defaults to the vectorized engine and then
+yields **array-native** :class:`~repro.core.indexed.IndexedInstance`
+objects, which every solver entry point accepts directly.
 
 Degenerate-draw edges (``density <= 0``) take a deterministic
 round-robin fallback — user ``j`` wants exactly stream ``j mod |S|`` —

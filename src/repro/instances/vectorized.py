@@ -24,9 +24,6 @@ Every generator takes ``engine``:
 - ``"loop"`` — delegates to the seed-compatible loop generator and
   lowers the result, reproducing existing fixtures bit-exactly.
 
-``$REPRO_GEN_ENGINE`` overrides the default (see
-:func:`resolve_gen_engine`).
-
 Canonical vectorized draw order (per instance): stream costs, the
 (users × streams) sparsity mask in fixed row blocks of
 :data:`CHUNK_CELLS` cells, fallback stream indices for users the mask
@@ -66,9 +63,6 @@ from repro.core.indexed import (
 from repro.exceptions import ValidationError
 from repro.util.rng import ensure_rng
 
-#: Environment variable selecting the default generation engine.
-GEN_ENGINE_ENV = ENGINE_SETTINGS["generation"].env
-
 _GEN_ENGINES = ENGINE_SETTINGS["generation"].choices
 
 #: Sparsity-mask draws are chunked into row blocks of at most this many
@@ -79,7 +73,7 @@ CHUNK_CELLS = 1 << 22
 
 
 def resolve_gen_engine(engine: "str | None" = None, default: str = "vectorized") -> str:
-    """Resolve a generation engine: explicit argument > $REPRO_GEN_ENGINE > default.
+    """Resolve a generation engine: explicit argument, else ``default``.
 
     Delegates to the shared :mod:`repro.config` resolver (kind
     ``"generation"``); ``default`` lets the dict-returning ``random_*``

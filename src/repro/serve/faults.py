@@ -91,23 +91,6 @@ class FaultPlan:
         self.responses = 0
         self.requests = 0
 
-    @classmethod
-    def random_crashes(
-        cls,
-        seed: int,
-        *,
-        ops: int,
-        crashes: int = 1,
-        crash_mode: str = "kill",
-    ) -> "FaultPlan":
-        """Schedule ``crashes`` distinct crash points uniformly in ``[0, ops)``."""
-        if ops < 1:
-            raise ValidationError(f"need at least 1 op to crash in, got {ops}")
-        rng = random.Random(int(seed))
-        count = min(int(crashes), int(ops))
-        points = rng.sample(range(int(ops)), count)
-        return cls(crash_at=tuple(points), crash_mode=crash_mode, seed=int(seed))
-
     def torn_cut(self, length: int) -> int:
         """Adversarial cut offset for a torn write of ``length`` bytes."""
         if length <= 0:

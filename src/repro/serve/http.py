@@ -21,9 +21,10 @@ queued decisions per pass, executes them in order, and commits all
 their WAL records under **one** fsync
 (:meth:`~repro.serve.service.AdmissionCore.execute_batch`), resolving
 every waiter only after the shared sync returns — durability semantics
-unchanged, fsync cost shared.  ``commit_linger_ms`` lets a shallow
-queue wait briefly for company; at ``commit_batch=1`` the server
-behaves exactly like the pre-batching single-writer.
+unchanged, fsync cost shared.  A pass never waits for company: it
+commits whatever is queued, so batches form only while the writer is
+busy.  At ``commit_batch=1`` the server behaves exactly like the
+pre-batching single-writer.
 
 **Graceful overload degradation:** before queueing a decision the
 server checks the admission queue.  If ``pending >= max_pending`` or
@@ -163,15 +164,8 @@ class _Writer:
 
     def _drain(self) -> None:
         """Writer-thread pass: gather a batch, group-commit, resolve waiters."""
-        config = self.core.config
-        linger = config.commit_linger_ms / 1000.0
-        if linger > 0.0:
-            with self._lock:
-                shallow = 0 < len(self._queue) < config.commit_batch
-            if shallow:
-                time.sleep(linger)
         with self._lock:
-            take = min(config.commit_batch, len(self._queue))
+            take = min(self.core.config.commit_batch, len(self._queue))
             items = [self._queue.popleft() for _ in range(take)]
         if not items:
             return

@@ -31,11 +31,7 @@ import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from repro.config import (
-    resolve_commit_batch,
-    resolve_commit_linger_ms,
-    resolve_durability,
-)
+from repro.config import resolve_commit_batch, resolve_durability
 from repro.core.allocate import OnlineAllocator
 from repro.exceptions import ReproError, ValidationError
 from repro.serve.faults import FaultPlan, FaultySink, InjectedCrash, InjectedFault
@@ -90,9 +86,6 @@ class ServeConfig:
         service; larger batches amortize the durability round trip
         without weakening it (no decision is acknowledged before its
         batch's shared fsync returns).
-    commit_linger_ms:
-        Milliseconds a drain with a shallow queue waits for company
-        before committing (0 = commit whatever is pending immediately).
     """
 
     snapshot_every: int = 1024
@@ -102,7 +95,6 @@ class ServeConfig:
     max_wait: float = 0.5
     retry_after: float = 0.25
     commit_batch: int = 1
-    commit_linger_ms: float = 0.0
 
     def validated(self) -> "ServeConfig":
         """Return ``self`` after loud validation of every field."""
@@ -129,7 +121,6 @@ class ServeConfig:
             max_wait=float(self.max_wait),
             retry_after=float(self.retry_after),
             commit_batch=resolve_commit_batch(self.commit_batch),
-            commit_linger_ms=resolve_commit_linger_ms(self.commit_linger_ms),
         )
 
 

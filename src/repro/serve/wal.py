@@ -44,7 +44,7 @@ from repro.config import SERVE_DURABILITIES
 from repro.exceptions import ValidationError
 
 #: Valid WAL durability levels (re-exported from :mod:`repro.config`,
-#: which owns the arg > env > default resolution): ``fsync`` forces
+#: which owns their validation): ``fsync`` forces
 #: every commit to disk before acknowledging (survives power loss);
 #: ``flush`` stops at the OS page cache (survives process death —
 #: e.g. SIGKILL — but not the machine losing power).

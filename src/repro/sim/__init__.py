@@ -22,8 +22,7 @@ compared in a dynamic setting with stream arrivals and departures.
   :class:`~repro.core.indexed.IndexedInstance` arrays that skips
   no-decision event runs wholesale, so 10⁶-event traces replay in
   Python time proportional to the number of policy decisions (the
-  default; ``engine="dict"`` or ``$REPRO_SIM_ENGINE`` selects the
-  original).
+  default; ``engine="dict"`` selects the original).
 - :mod:`repro.sim.kernel` — ``engine="batched"``: the same kernel
   plus a decision map that answers order-free policies once per state
   epoch, with float-identical reports.

@@ -69,8 +69,7 @@ Skipped events touch no counter and no integrator in either engine,
 which is what makes skipping them exact rather than approximate
 (``tests/test_sim_indexed.py`` asserts ``==``; ``tests/test_store.py``
 asserts windowed == monolithic at every window width).  The engine is
-selected per call (``engine="dict"``) or globally via
-``$REPRO_SIM_ENGINE``; the default is ``indexed``.
+selected per call (``engine="dict"``); the default is ``indexed``.
 """
 
 from __future__ import annotations
@@ -88,9 +87,6 @@ from repro.sim.metrics import ColumnarTimeWeighted, SimulationReport, TimeWeight
 from repro.sim.policies import AdmissionPolicy, ResourceView
 from repro.util.rng import ensure_rng
 
-#: Environment variable selecting the default simulation engine.
-SIM_ENGINE_ENV = ENGINE_SETTINGS["simulation"].env
-
 _SIM_ENGINES = ENGINE_SETTINGS["simulation"].choices
 
 #: Event-kind key component: arrivals tie-break before departures at
@@ -105,7 +101,7 @@ _BEYOND_HORIZON = float("inf")
 
 
 def resolve_sim_engine(engine: "str | None" = None) -> str:
-    """Resolve a sim engine name: argument > ``$REPRO_SIM_ENGINE`` > indexed.
+    """Resolve a sim engine name: explicit argument, else ``indexed``.
 
     Delegates to the shared :mod:`repro.config` resolver (kind
     ``"simulation"``); kept as the historical front door.
@@ -620,8 +616,8 @@ class IndexedVideoSim:
     ) -> SimulationReport:
         """Replay an on-disk :class:`~repro.sim.store.TraceStore` windowed.
 
-        With a ``window`` (explicit argument or ``$REPRO_STORE_WINDOW``
-        via :func:`~repro.config.resolve_store_window`), the store's
+        With a ``window`` (validated by
+        :func:`~repro.config.resolve_store_window`), the store's
         horizon prefix is streamed in ``[w0, w1)`` spans of that many
         time units — peak memory is a few window-sized arrays, the
         mmap'd pages stream through — with live sessions handed across

@@ -18,7 +18,7 @@ Three replay engines implement the identical semantics:
 - ``engine="dict"`` — :class:`VideoDistributionSim`, the original
   string-keyed event-loop implementation (heap calendar, per-user
   Python loops), kept as the reference oracle;
-- ``engine="indexed"`` (default; ``$REPRO_SIM_ENGINE`` overrides) —
+- ``engine="indexed"`` (default) —
   :class:`repro.sim.indexed.IndexedVideoSim`, the array-native
   decision-point kernel: no-decision event runs are skipped wholesale,
   Python fires only at policy decisions and live departures, and
@@ -364,10 +364,10 @@ def simulate_store(
     The out-of-core counterpart of :func:`simulate_trace`, and
     report-identical to it on the same events: a store *is* an
     :class:`~repro.sim.indexed.IndexedTrace` (mmap-backed columns), so
-    every engine accepts it.  With a ``window`` (explicit or
-    ``$REPRO_STORE_WINDOW``), the ``indexed`` and ``batched`` engines
-    stream the store ``window`` time units at a time in bounded memory
-    via :meth:`~repro.sim.indexed.IndexedVideoSim.run_store` — live
+    every engine accepts it.  With a ``window``, the ``indexed`` and
+    ``batched`` engines stream the store ``window`` time units at a
+    time in bounded memory via
+    :meth:`~repro.sim.indexed.IndexedVideoSim.run_store` — live
     sessions are stitched across boundaries, so the report stays
     **float-identical** to monolithic replay.  The ``dict`` oracle has
     no streaming driver; for it the window is a performance hint with
@@ -418,8 +418,7 @@ def compare_policies(
     engine:
         Simulation engine for the trace draw and every replay
         (``indexed`` default, ``batched`` for the decision map over
-        order-free policies, ``dict`` for the original path,
-        ``$REPRO_SIM_ENGINE`` overrides).
+        order-free policies, ``dict`` for the original path).
     parallel:
         Number of worker processes.  ``1`` (default) replays in-process;
         ``N > 1`` fans the policies out over a process pool via the

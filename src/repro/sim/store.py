@@ -57,11 +57,7 @@ import numpy as np
 from repro.config import resolve_store_chunk
 from repro.exceptions import ValidationError
 from repro.sim.indexed import IndexedTrace
-from repro.util.atomic import (
-    json_checksum,
-    read_checked_manifest,
-    write_checked_manifest,
-)
+from repro.util.atomic import read_checked_manifest, write_checked_manifest
 
 #: Fixed byte size of every column file's ``.npy`` header.  The header
 #: is written once with the current row count and rewritten in place on
@@ -100,11 +96,6 @@ def _npy_header(dtype: str, rows: int) -> bytes:
         + len(header).to_bytes(2, "little")
         + header.encode("latin1")
     )
-
-
-def _manifest_check(body: "dict[str, object]") -> str:
-    """CRC of the manifest body (delegates to the shared helper)."""
-    return json_checksum(body)
 
 
 def _write_manifest(path: Path, body: "dict[str, object]") -> None:

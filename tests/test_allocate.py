@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.allocate import (
@@ -388,49 +389,21 @@ class TestLoadStateConsistency:
 
 
 class TestChargeResyncConfig:
-    """The drift-guard interval resolves arg > $REPRO_CHARGE_RESYNC >
-    default, and junk fails loudly instead of disabling the guard."""
+    """The periodic drift-guard resync never changes a decision."""
 
-    def test_default(self, monkeypatch):
-        from repro.config import DEFAULT_CHARGE_RESYNC
-
-        monkeypatch.delenv("REPRO_CHARGE_RESYNC", raising=False)
-        inst = small_streams_mmd(6, 2, seed=3)
-        assert OnlineAllocator(inst).charge_resync == DEFAULT_CHARGE_RESYNC
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHARGE_RESYNC", "7")
-        inst = small_streams_mmd(6, 2, seed=3)
-        assert OnlineAllocator(inst).charge_resync == 7
-
-    def test_arg_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHARGE_RESYNC", "7")
-        inst = small_streams_mmd(6, 2, seed=3)
-        assert OnlineAllocator(inst, charge_resync=3).charge_resync == 3
-
-    @pytest.mark.parametrize("junk", ["junk", "0", "-5", "2.5", ""])
-    def test_junk_env_is_loud(self, monkeypatch, junk):
-        from repro.config import resolve_charge_resync
-
-        monkeypatch.setenv("REPRO_CHARGE_RESYNC", junk)
-        with pytest.raises(ValidationError):
-            resolve_charge_resync()
-
-    def test_bad_arg_is_loud(self):
-        inst = small_streams_mmd(6, 2, seed=3)
-        with pytest.raises(ValidationError):
-            OnlineAllocator(inst, charge_resync=0)
-
-    def test_small_interval_forces_frequent_resync(self, monkeypatch):
-        """A tiny interval keeps the op counter pinned below it — and the
-        forced resyncs never change a decision (bit-wise no-op guard)."""
-        monkeypatch.delenv("REPRO_CHARGE_RESYNC", raising=False)
+    def test_small_interval_forces_frequent_resync(self):
+        """Resyncing after every op (the smallest possible interval)
+        gives the same decisions as the default interval — the resync is
+        a bit-wise no-op guard."""
         inst = small_streams_mmd(12, 3, seed=81)
-        eager = OnlineAllocator(inst, charge_resync=1)
+        eager = OnlineAllocator(inst)
         lazy = OnlineAllocator(inst)
         for sid in inst.stream_ids():
             assert eager.offer(sid) == lazy.offer(sid)
+            eager.resync_charges()
             assert eager._ops_since_resync == 0
+            assert np.array_equal(eager._exp_user, lazy._exp_user)
+            assert np.array_equal(eager._exp_server, lazy._exp_server)
 
 
 class TestArrayNativeInstances:

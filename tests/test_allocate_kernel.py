@@ -283,10 +283,11 @@ def _assert_same_charges(fast, reference):
 @pytest.mark.parametrize("enforce", [True, False], ids=["guard", "noguard"])
 @pytest.mark.parametrize("make", INSTANCES)
 class TestKernelBitIdentity:
-    def test_offer_indexed_and_release(self, make, enforce):
+    def test_offer_indexed_and_release(self, make, enforce, monkeypatch):
+        monkeypatch.setattr(allocate_module, "CHARGE_RESYNC_INTERVAL", 7)
         inst = make()
-        fast = OnlineAllocator(inst, enforce_budgets=enforce, charge_resync=7)
-        reference = GatherAndMaskAllocator(inst, enforce_budgets=enforce, charge_resync=7)
+        fast = OnlineAllocator(inst, enforce_budgets=enforce)
+        reference = GatherAndMaskAllocator(inst, enforce_budgets=enforce)
         assert fast._idx.mc >= 2
         decisions = 0
         for release, k in _ops(inst, seed=11):
@@ -410,13 +411,14 @@ def _memo_hit(allocator, k) -> bool:
 
 @pytest.mark.parametrize("enforce", [True, False], ids=["guard", "noguard"])
 @pytest.mark.parametrize("make", MEMO_INSTANCES)
-def test_memo_matches_unmemoized_reference(make, enforce):
+def test_memo_matches_unmemoized_reference(make, enforce, monkeypatch):
     """Long reject-heavy interleavings: memoized answers equal the
     reference's full recomputes, and so do the rejection bookkeeping and
     the state digest, after every step."""
+    monkeypatch.setattr(allocate_module, "CHARGE_RESYNC_INTERVAL", 40)
     inst = make()
-    fast = OnlineAllocator(inst, enforce_budgets=enforce, charge_resync=40)
-    reference = GatherAndMaskAllocator(inst, enforce_budgets=enforce, charge_resync=40)
+    fast = OnlineAllocator(inst, enforce_budgets=enforce)
+    reference = GatherAndMaskAllocator(inst, enforce_budgets=enforce)
     rng = random.Random(17)
     offers = hits = 0
     for _ in range(700):
@@ -430,7 +432,7 @@ def test_memo_matches_unmemoized_reference(make, enforce):
             fast.resync_charges()
             reference.resync_charges()
         elif roll < 0.08:
-            restored = OnlineAllocator(inst, enforce_budgets=enforce, charge_resync=40)
+            restored = OnlineAllocator(inst, enforce_budgets=enforce)
             restored.load_state(fast.state_dict())
             fast = restored
         elif roll < 0.25:
@@ -639,10 +641,11 @@ def _offer_both(fast, reference, spy, k):
 )
 def test_certificate_sound_on_random_sequences(seed, m, mc, tight, ops):
     inst = hand_built(seed, streams=12, users=10, mc=mc, tight=tight, m=m)
-    fast = OnlineAllocator(inst, charge_resync=25)
-    reference = GatherAndMaskAllocator(inst, charge_resync=25)
+    fast = OnlineAllocator(inst)
+    reference = GatherAndMaskAllocator(inst)
     spy = CertificateSpy()
-    with mock.patch.object(allocate_module, "_certain_rejection", spy):
+    with mock.patch.object(allocate_module, "_certain_rejection", spy), \
+            mock.patch.object(allocate_module, "CHARGE_RESYNC_INTERVAL", 25):
         for op, pick in ops:
             if op == "resync":
                 fast.resync_charges()

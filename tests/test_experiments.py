@@ -95,32 +95,24 @@ class TestSeedDerivation:
 
 
 class TestEngineConfig:
-    def test_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "dict")
-        assert resolve_engine_setting("solver", "indexed") == "indexed"
-
-    def test_env_beats_default(self, monkeypatch):
-        for kind, setting in ENGINE_SETTINGS.items():
-            other = next(c for c in setting.choices if c != setting.default)
-            monkeypatch.setenv(setting.env, other)
-            assert resolve_engine_setting(kind) == other
-            monkeypatch.delenv(setting.env)
-            assert resolve_engine_setting(kind) == setting.default
-
     def test_per_call_default_override(self):
         assert resolve_engine_setting("generation", default="loop") == "loop"
+        assert resolve_engine_setting("generation", "vectorized", "loop") == "vectorized"
 
-    def test_old_front_doors_delegate(self, monkeypatch):
+    def test_old_front_doors_delegate(self):
         from repro.core.indexed import resolve_engine
         from repro.instances.vectorized import resolve_gen_engine
         from repro.sim.indexed import resolve_sim_engine
 
-        monkeypatch.setenv("REPRO_ENGINE", "dict")
-        monkeypatch.setenv("REPRO_GEN_ENGINE", "loop")
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "dict")
-        assert resolve_engine() == "dict"
-        assert resolve_gen_engine() == "loop"
-        assert resolve_sim_engine() == "dict"
+        for front_door, kind in ((resolve_engine, "solver"),
+                                 (resolve_gen_engine, "generation"),
+                                 (resolve_sim_engine, "simulation")):
+            setting = ENGINE_SETTINGS[kind]
+            assert front_door() == setting.default
+            for choice in setting.choices:
+                assert front_door(choice) == choice
+            with pytest.raises(ValidationError, match="bogus"):
+                front_door("bogus")
 
     def test_bad_values_rejected(self):
         with pytest.raises(ValidationError):
@@ -214,7 +206,7 @@ class TestSpec:
         # One source of truth: the spec-level name registries, the
         # runner's factory maps and the CLI's workload table must match.
         from repro.cli import WORKLOADS
-        from repro.experiments.runner import _sim_policy, _sim_workloads
+        from repro.experiments.execute import _sim_policy, _sim_workloads
         from repro.experiments.spec import SIM_POLICIES, SIM_WORKLOADS
 
         assert set(_sim_workloads()) == set(SIM_WORKLOADS) == set(WORKLOADS)

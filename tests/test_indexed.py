@@ -74,15 +74,9 @@ class TestLowering:
 
 
 class TestEngineResolution:
-    def test_default_is_indexed(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    def test_default_is_indexed(self):
         assert resolve_engine() == "indexed"
         assert resolve_engine("dict") == "dict"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "dict")
-        assert resolve_engine() == "dict"
-        assert resolve_engine("indexed") == "indexed"
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValidationError):

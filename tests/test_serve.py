@@ -24,16 +24,15 @@ from __future__ import annotations
 import asyncio
 import json
 import random
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.config import (
-    resolve_commit_batch,
-    resolve_commit_linger_ms,
-    resolve_durability,
-)
+from repro.config import resolve_commit_batch, resolve_durability
 from repro.core.allocate import OnlineAllocator
 from repro.exceptions import ValidationError
 from repro.instances.workloads import small_streams_workload
@@ -251,51 +250,31 @@ class TestServeConfig:
         {"retry_after": -1.0},
         {"commit_batch": 0},
         {"commit_batch": 100_000},
-        {"commit_linger_ms": -1.0},
-        {"commit_linger_ms": float("nan")},
+        {"commit_batch": "many"},
+        {"max_wait": float("nan")},
     ])
     def test_bad_fields_are_loud(self, kwargs):
         with pytest.raises(ValidationError):
             ServeConfig(**kwargs).validated()
 
     def test_commit_knobs_validate(self):
-        config = ServeConfig(commit_batch=32, commit_linger_ms=2.5).validated()
+        config = ServeConfig(commit_batch=32).validated()
         assert config.commit_batch == 32
-        assert config.commit_linger_ms == 2.5
 
 
 class TestConfigResolution:
-    """Arg > env > default for the new serve knobs; junk is loud."""
+    """The serve knobs' validators: constant defaults, junk is loud."""
 
-    def test_env_fallback_and_arg_precedence(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_DURABILITY", "flush")
-        monkeypatch.setenv("REPRO_COMMIT_BATCH", "48")
-        monkeypatch.setenv("REPRO_COMMIT_LINGER_MS", "3.5")
-        assert resolve_durability() == "flush"
-        assert resolve_commit_batch() == 48
-        assert resolve_commit_linger_ms() == 3.5
-        # explicit args always win over the environment
-        assert resolve_durability("fsync") == "fsync"
-        assert resolve_commit_batch(2) == 2
-        assert resolve_commit_linger_ms(0) == 0.0
-
-    def test_defaults_without_env(self, monkeypatch):
-        for var in ("REPRO_SERVE_DURABILITY", "REPRO_COMMIT_BATCH",
-                    "REPRO_COMMIT_LINGER_MS"):
-            monkeypatch.delenv(var, raising=False)
+    def test_defaults_without_env(self):
         assert resolve_durability() == "fsync"
         assert resolve_commit_batch() == 1
-        assert resolve_commit_linger_ms() == 0.0
+        assert resolve_durability("flush") == "flush"
+        assert resolve_commit_batch(48) == 48
 
-    @pytest.mark.parametrize("var,resolver", [
-        ("REPRO_SERVE_DURABILITY", resolve_durability),
-        ("REPRO_COMMIT_BATCH", resolve_commit_batch),
-        ("REPRO_COMMIT_LINGER_MS", resolve_commit_linger_ms),
-    ])
-    def test_junk_env_is_loud(self, monkeypatch, var, resolver):
-        monkeypatch.setenv(var, "junk")
+    @pytest.mark.parametrize("resolver", [resolve_durability, resolve_commit_batch])
+    def test_junk_argument_is_loud(self, resolver):
         with pytest.raises(ValidationError):
-            resolver()
+            resolver("junk")
 
 
 # ----------------------------------------------------------------------
@@ -652,6 +631,22 @@ def run_http(test_coro_factory, instance, tmp_path, *, config=None,
     return asyncio.run(runner())
 
 
+def hold_writer(server):
+    """Park the server's writer thread until the returned event is set,
+    so every decision submitted meanwhile queues for the next drain."""
+    gate = threading.Event()
+    server._writer.executor.submit(gate.wait)
+    return gate
+
+
+async def until_queued(server, depth, timeout=10.0):
+    """Wait until ``depth`` decisions sit in the parked writer's queue."""
+    deadline = time.monotonic() + timeout
+    while server._writer.depth() < depth:
+        assert time.monotonic() < deadline, f"never reached queue depth {depth}"
+        await asyncio.sleep(0.002)
+
+
 class TestHTTP:
     def test_endpoints(self, tmp_path, instance):
         sids = [s.stream_id for s in instance.streams]
@@ -782,8 +777,7 @@ class TestHTTPBatching:
     def test_concurrent_offers_share_group_commits(self, tmp_path, instance):
         """Concurrent load drains in batches: fewer fsyncs than decisions."""
         sids = [s.stream_id for s in instance.streams]
-        config = ServeConfig(snapshot_every=1000, commit_batch=8,
-                             commit_linger_ms=20.0, max_pending=64)
+        config = ServeConfig(snapshot_every=1000, commit_batch=8, max_pending=64)
 
         async def scenario(core, server, client, port):
             loop = asyncio.get_running_loop()
@@ -794,15 +788,21 @@ class TestHTTPBatching:
                                  timeout=10.0)
 
             count = len(sids)
-            results = await asyncio.gather(*[
-                loop.run_in_executor(None, one, i) for i in range(count)
-            ])
+            gate = hold_writer(server)
+            try:
+                with ThreadPoolExecutor(max_workers=count) as pool:
+                    calls = [loop.run_in_executor(pool, one, i) for i in range(count)]
+                    await until_queued(server, count)
+                    gate.set()
+                    results = await asyncio.gather(*calls)
+            finally:
+                gate.set()
             assert all(status == 200 for status, _ in results)
             assert core.next_seq == count
             histogram = server.batch_histogram()
             assert sum(int(k) * v for k, v in histogram.items()) == count
-            # the linger let at least one drain pick up company
-            assert max(int(k) for k in histogram) >= 2
+            # every decision was queued before the first drain
+            assert histogram == {"8": 1, str(count - 8): 1}
             assert core.wal.sink.sync_count < count
             stats = await client.stats()
             assert stats["batch_sizes"] == histogram
@@ -871,19 +871,39 @@ class TestClientDeterminism:
     ):
         """A dropped ack + retry against a group-committing server dedupes."""
         sids = [s.stream_id for s in instance.streams]
-        config = ServeConfig(snapshot_every=1000, commit_batch=8,
-                             commit_linger_ms=2.0, max_pending=64)
+        config = ServeConfig(snapshot_every=1000, commit_batch=8, max_pending=64)
 
         async def scenario(core, server, client, port):
-            first = await client.offer(sids[0])      # ack dropped -> retried
+            loop = asyncio.get_running_loop()
+
+            def other(i):
+                return http_call("127.0.0.1", port, "POST", "/offer",
+                                 {"stream": sids[i], "key": f"k{i}"},
+                                 timeout=10.0)
+
+            # The client's offer is queued first, so its ack is the
+            # first response (the one dropped), and it shares one
+            # group commit with four offers from other sockets.
+            gate = hold_writer(server)
+            try:
+                first_call = asyncio.ensure_future(client.offer(sids[0]))
+                await until_queued(server, 1)
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    calls = [loop.run_in_executor(pool, other, i) for i in range(1, 5)]
+                    await until_queued(server, 5)
+                    gate.set()
+                    others = await asyncio.gather(*calls)
+                first = await first_call             # ack dropped -> retried
+            finally:
+                gate.set()
             assert client.retried >= 1
-            # one client = one socket: keep its calls sequential
-            others = [await client.offer(sids[i]) for i in range(1, 5)]
+            assert all(status == 200 for status, _ in others)
             assert first["seq"] == 0
-            # the retry re-entered through a batch and hit the
-            # idempotency cache: exactly one record per logical offer
+            assert server.batch_histogram()["5"] == 1
+            # the retry re-entered the writer and hit the idempotency
+            # cache: exactly one record per logical offer
             assert core.next_seq == 5
-            assert {r["seq"] for r in others} == {1, 2, 3, 4}
+            assert {body["seq"] for _, body in others} == {1, 2, 3, 4}
             stats = await client.stats()
             assert stats["seq"] == 5
             return True
@@ -919,7 +939,6 @@ class TestServeCli:
     @pytest.mark.parametrize("flag,value", [
         ("--commit-batch", "0"),
         ("--commit-batch", "100000"),
-        ("--commit-linger-ms", "-1"),
         ("--durability", "maybe"),
     ])
     def test_run_junk_knobs_exit_2(self, tmp_path, capsys, flag, value):
@@ -927,13 +946,6 @@ class TestServeCli:
                      "--workload", "small-streams", flag, value])
         assert code == 2
         assert "error:" in capsys.readouterr().err
-
-    def test_run_junk_env_knob_exits_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_COMMIT_BATCH", "many")
-        code = main(["serve", "run", "--dir", str(tmp_path / "svc"),
-                     "--workload", "small-streams"])
-        assert code == 2
-        assert "bad commit batch" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [
         ["serve", "run", "--workload", "small-streams"],
@@ -974,7 +986,7 @@ class TestServeCli:
              "--dir", str(root),
              "--workload", "small-streams", "--streams", "12", "--users", "8",
              "--seed", "3",
-             "--commit-batch", "8", "--commit-linger-ms", "1",
+             "--commit-batch", "8",
              "--durability", "flush", "--snapshot-every", "50"],
             stdout=subprocess.PIPE, env=env, text=True,
         )
@@ -983,7 +995,6 @@ class TestServeCli:
             assert started["seq"] == 0
             assert started["queue_depth"] == 0
             assert started["commit_batch"] == 8
-            assert started["commit_linger_ms"] == 1.0
             assert started["durability"] == "flush"
             assert "shards" not in started and "shard_seqs" not in started
             for i in range(10):

@@ -699,13 +699,7 @@ class TestSparseReport:
 
 
 class TestEngineResolution:
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "dict")
-        assert resolve_sim_engine("indexed") == "indexed"
-        assert resolve_sim_engine() == "dict"
-
-    def test_default_is_indexed(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
+    def test_default_is_indexed(self):
         assert resolve_sim_engine() == "indexed"
 
     def test_unknown_engine_rejected(self):
@@ -713,12 +707,3 @@ class TestEngineResolution:
 
         with pytest.raises(ValidationError, match="unknown simulation engine"):
             resolve_sim_engine("warp")
-
-    def test_env_switches_simulate_trace(self, monkeypatch):
-        instance = iptv_neighborhood_workload(num_channels=6, num_households=3, seed=1)
-        trace = [SessionEvent(time=1.0, stream_id=instance.stream_ids()[0], duration=5.0)]
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "dict")
-        dict_report = simulate_trace(instance, ThresholdPolicy(), trace, 10.0)
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "indexed")
-        idx_report = simulate_trace(instance, ThresholdPolicy(), trace, 10.0)
-        assert_reports_identical(dict_report, idx_report)

@@ -74,6 +74,21 @@ def test_exact_solvers_name_the_extra_without_scipy():
     assert all("repro-mmd[exact]" in line for line in lines)
 
 
+@pytest.mark.parametrize("flag", ["--bound", "--exact"])
+def test_exact_command_without_scipy_exits_2(tmp_path, flag):
+    """A command that needs SciPy prints the CLI's one-line error naming
+    the extra and exits 2, like any other usage error: no traceback."""
+    path = tmp_path / "inst.json"
+    made = _python(NO_SCIPY, "generate", "--family", "smd", "--streams", "4",
+                   "--users", "3", "--seed", "1", "-o", str(path))
+    assert made.returncode == 0, made.stderr
+    proc = _python(NO_SCIPY, "solve", str(path), flag)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:")
+    assert "repro-mmd[exact]" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -340,21 +340,19 @@ def test_windowed_replay_property(trace, window, instance, tmp_path_factory):
         assert_reports_identical(expected, got)
 
 
-def test_simulate_store_accepts_path_and_env(instance, tmp_path, monkeypatch):
-    """simulate_store opens path args; $REPRO_STORE_WINDOW is honored."""
+def test_simulate_store_accepts_path_and_window(instance, tmp_path):
+    """simulate_store opens path args; a junk window is loud."""
     trace = make_trace(STITCH_TRACES["spanning"])
     path = tmp_path / "s"
     write_trace(trace, path)
     expected = simulate_trace(instance, ThresholdPolicy(), trace, HORIZON,
                               engine="indexed")
-    monkeypatch.setenv("REPRO_STORE_WINDOW", "2.5")
     got = simulate_store(instance, ThresholdPolicy(), str(path), HORIZON,
-                         engine="indexed")
+                         engine="indexed", window=2.5)
     assert_reports_identical(expected, got)
-    monkeypatch.setenv("REPRO_STORE_WINDOW", "junk")
     with pytest.raises(ValidationError):
         simulate_store(instance, ThresholdPolicy(), str(path), HORIZON,
-                       engine="indexed")
+                       engine="indexed", window="junk")
 
 
 def test_windowed_replay_requires_sorted_store(instance, tmp_path):

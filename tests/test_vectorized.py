@@ -23,7 +23,6 @@ from repro.instances.vectorized import (
     generate_small_streams_mmd,
     generate_smd,
     generate_unit_skew_smd,
-    resolve_gen_engine,
     sweep_indexed_instances,
 )
 
@@ -157,19 +156,6 @@ class TestEngines:
         lifted = random_smd(7, 9, 8.0, seed=5, engine="vectorized")
         assert isinstance(lifted, MMDInstance)
         assert lifted == generate_smd(7, 9, 8.0, seed=5, engine="vectorized").lift()
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GEN_ENGINE", "loop")
-        assert resolve_gen_engine(None, default="vectorized") == "loop"
-        items = list(sweep_instances([5], [4], seed=1))
-        assert all(isinstance(i, MMDInstance) for i in items)
-        monkeypatch.setenv("REPRO_GEN_ENGINE", "bogus")
-        with pytest.raises(ValidationError):
-            resolve_gen_engine(None)
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GEN_ENGINE", "loop")
-        assert resolve_gen_engine("vectorized") == "vectorized"
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValidationError):
