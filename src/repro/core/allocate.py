@@ -119,15 +119,24 @@ def small_streams_condition(
     return small_streams_indexed(ensure_indexed(instance), mu)
 
 
+#: The answer of every rejection: one shared, read-only empty array.
+_REJECTED = np.empty(0, dtype=np.int64)
+_REJECTED.flags.writeable = False
+
 #: The rejection certificate's error allowance per user, in units of
 #: the scale ``T``: ``8·2⁻⁵³``, over 2.6× the first-order rounding
 #: bound (see :func:`_certain_rejection`).
 _CERTIFICATE_ALLOWANCE = 8 * 2.0**-53
 
 
-def _certain_rejection(server_charge: float, charges: np.ndarray, w: np.ndarray) -> bool:
+def _certain_rejection(
+    server_charge: float, charges: np.ndarray, w: np.ndarray, w_total: float
+) -> bool:
     """Whether Line 4 keeps no user of an offer, decided without the
     sort and the drop walk; ``False`` means "run the walk".
+
+    ``w_total`` is ``float(np.add.reduce(w))``, which the allocator
+    computes once per stream row at construction.
 
     For any kept set ``K`` the exact Line-4 margin is
     ``server + Σ_K c_u − Σ_K w_u ≥ server − G`` with
@@ -146,7 +155,7 @@ def _certain_rejection(server_charge: float, charges: np.ndarray, w: np.ndarray)
     add = np.add.reduce
     gain = w - charges
     gain = float(add(np.maximum(gain, 0.0, out=gain)))
-    scale = abs(server_charge) + float(add(np.abs(charges))) + float(add(w))
+    scale = abs(server_charge) + float(add(np.abs(charges))) + w_total
     return server_charge - gain > _CERTIFICATE_ALLOWANCE * (charges.size + 2) * scale
 
 
@@ -234,6 +243,21 @@ class OnlineAllocator:
         self._server_charged = idx.stream_costs > 0
         with np.errstate(divide="ignore", invalid="ignore"):
             self._server_ratio = idx.stream_costs / idx.budgets
+        # The same terms per stream as Python floats, one ``(i, c_i(S)/B_i)``
+        # entry per charged finite measure, for the full decision's sum.
+        self._server_terms: "list[list[tuple[int, float]]]" = [
+            [(i, ratio[i]) for i in self._server_measures if charged[i]]
+            for charged, ratio in zip(
+                self._server_charged.tolist(), self._server_ratio.tolist()
+            )
+        ]
+        # Stream-major row bounds, and each row's Σ_u w_u(S) by the same
+        # reduction over the same slice the certificate would run.
+        self._row_bounds: "list[int]" = idx.s_indptr.tolist()
+        self._row_w_total: "list[float]" = [
+            float(np.add.reduce(idx.s_w[lo:hi]))
+            for lo, hi in zip(self._row_bounds[:-1], self._row_bounds[1:])
+        ]
 
         # Per-(user, measure) scales over the user-major pair arrays;
         # entries for infinite-cap measures exist but are never charged.
@@ -263,9 +287,13 @@ class OnlineAllocator:
         pair_load = np.ascontiguousarray(idx.s_loads.T)
         self._pair_finite = np.isfinite(pair_cap)
         self._pair_charged = self._pair_finite & (pair_load > 0.0)
+        # Ratio and scaled cap are zero on uncharged pairs, so the charge
+        # kernel forms no 0·inf and no 0/0 there.  The hard guard also
+        # reads the ratio of an uncharged finite-cap pair, whose load is
+        # zero: its test is then ``L > 1 + rtol``, which no guarded
+        # commit leaves true.
         with np.errstate(divide="ignore", invalid="ignore"):
-            self._pair_ratio = pair_load / pair_cap
-        # Zero on uncharged pairs, so the charge kernel never forms 0·inf.
+            self._pair_ratio = np.where(self._pair_charged, pair_load / pair_cap, 0.0)
         self._pair_scaled_cap = np.where(
             self._pair_charged, np.ascontiguousarray(user_scale[idx.s_user].T) * pair_cap, 0.0
         )
@@ -287,9 +315,8 @@ class OnlineAllocator:
         self._exp_user = np.ones((num_users, mc))
         self._ops_since_resync = 0
         # State epoch: bumped whenever a decision input can move (every
-        # commit and release, and a resync), so "rejected at the current
-        # epoch" proves a re-offer would be rejected again.  load_state
-        # empties the memo instead.
+        # commit and release, a resync and a load_state), so "rejected at
+        # the current epoch" proves a re-offer would be rejected again.
         self._epoch = 0
         #: Active sessions: stream index -> its receivers' pair indices
         #: into the stream-major CSR (never empty).  The single record of
@@ -308,6 +335,16 @@ class OnlineAllocator:
     def instance(self) -> MMDInstance:
         """The string-keyed instance (lifted on first access if array-native)."""
         return self._idx.lift()
+
+    @property
+    def epoch(self) -> int:
+        """The state epoch: it moves on every commit, release, resync and
+        :meth:`load_state`, and on nothing else.
+
+        While it is unchanged every decision input is unchanged, so a
+        stream rejected at this epoch would be rejected again.
+        """
+        return self._epoch
 
     @property
     def rejected(self) -> "list[str]":
@@ -346,12 +383,10 @@ class OnlineAllocator:
 
     def _server_charge_index(self, k: int) -> float:
         """Index form of :meth:`_server_charge` (same floats, no id lookup)."""
-        charged, ratio = self._server_charged[k], self._server_ratio[k]
         total = 0.0
-        for i in self._server_measures:
-            if charged[i]:
-                total += ratio[i] * self._exp_cost_server(i)
-        return float(total)
+        for i, ratio in self._server_terms[k]:
+            total += ratio * self._exp_cost_server(i)
+        return total
 
     def _user_charge(self, user_id: str, stream_id: str) -> float:
         """``Σ_j (k^u_j(S)/K^u_j)·C(u,j)`` — one user's part of the test.
@@ -379,15 +414,25 @@ class OnlineAllocator:
         ``0.0``.  The exponentials come from the :attr:`_exp_user` cache
         (maintained exactly on commit/release) and every other operand
         from the per-pair static arrays, so an offer costs one gather
-        and the arithmetic over the interested row.
+        and the arithmetic over the interested row.  An uncharged pair
+        reads ``µ^L = 1``, so its cost is ``0·0·0``: no NaN is formed
+        there even when the user's cached ``µ^L`` is ``inf``.  A zero
+        charge may be ``-0.0``; charges only enter sums and comparisons,
+        where it equals ``0.0``.
         """
-        charge = np.zeros(row_users.size)
+        charge = None
         for j in range(self._idx.mc):
-            cost = self._exp_user[:, j][row_users] - 1.0
+            cost = np.where(
+                self._pair_charged[j, row_pairs], self._exp_user[:, j][row_users], 1.0
+            )
+            cost -= 1.0
             cost *= self._pair_scaled_cap[j, row_pairs]
             cost *= self._pair_ratio[j, row_pairs]
-            charge += np.where(self._pair_charged[j, row_pairs], cost, 0.0)
-        return charge
+            if charge is None:
+                charge = cost
+            else:
+                charge += cost
+        return np.zeros(row_users.size) if charge is None else charge
 
     def _recharge(self, selected_users: np.ndarray, j: int) -> None:
         """Refresh the cached ``µ^L`` of the given (user, ``j``) budgets.
@@ -471,26 +516,26 @@ class OnlineAllocator:
         delegates here).  A stream already rejected in the current state
         epoch is rejected again from the memo, before any charge work;
         a rejection the charges certify (:func:`_certain_rejection`)
-        skips the sort and the drop walk."""
+        skips the sort and the drop walk.  Every rejection returns the
+        same read-only empty array."""
         idx = self._idx
         k = self._check_stream_index(k)
         self._check_active(k)
-        empty = np.empty(0, dtype=np.int64)
         if self._rejected.get(k) == self._epoch:
             self._reject(k)
-            return empty
-        lo, hi = int(idx.s_indptr[k]), int(idx.s_indptr[k + 1])
+            return _REJECTED
+        lo, hi = self._row_bounds[k], self._row_bounds[k + 1]
         if lo == hi:
             self._reject(k)
-            return empty
+            return _REJECTED
         row = slice(lo, hi)
         row_users = idx.s_user[row]
         row_w = idx.s_w[row]
         charges = self._user_charges(row_users, row)
         server_charge = self._server_charge_index(k)
-        if _certain_rejection(server_charge, charges, row_w):
+        if _certain_rejection(server_charge, charges, row_w, self._row_w_total[k]):
             self._reject(k)
-            return empty
+            return _REJECTED
 
         # Maximal U_j: drop users in decreasing order of charge/utility
         # until the Line 4 condition holds (the paper's note after Alg. 2).
@@ -501,7 +546,7 @@ class OnlineAllocator:
         count = _drop_walk(server_charge, sorted_cw)
         if count == 0:
             self._reject(k)
-            return empty
+            return _REJECTED
         chosen = order[:count]
         selected_users = row_users[chosen]
         selected_pairs = lo + chosen
@@ -512,7 +557,7 @@ class OnlineAllocator:
             )
             if selected_users.size == 0:
                 self._reject(k)
-                return empty
+                return _REJECTED
 
         self._move_load(k, selected_users, selected_pairs, np.add)
         self._active_pairs[k] = selected_pairs
@@ -722,6 +767,7 @@ class OnlineAllocator:
         # No rejection carries an epoch yet: the memo restarts cold.
         self._rejected = dict.fromkeys(idx.stream_index[sid] for sid in rejected)
         self.rejected_count = int(state["rejected_count"])
+        self._epoch += 1
 
     def state_digest(self) -> str:
         """SHA-256 fingerprint of the dynamic state (bit-identity checks).

@@ -804,7 +804,10 @@ def global_skew_indexed(idx: IndexedInstance) -> float:
     def fold(best: np.ndarray, worst: np.ndarray) -> float:
         live = (best > 0.0) & np.isfinite(worst)
         if live.any():
-            return float((best[live] / worst[live]).max())
+            # Loads hundreds of orders of magnitude apart make γ overflow
+            # to inf, which is its value (µ = inf), not an error.
+            with np.errstate(over="ignore"):
+                return float((best[live] / worst[live]).max())
         return 1.0
 
     for i in range(idx.m):

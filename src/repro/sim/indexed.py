@@ -41,10 +41,30 @@ ordered by the same ``(time, kind, arrival_time, position)`` tuples —
 yields interesting events directly in replay order.  When a decision
 *admits* a stream, every arrival of that stream up to the session's
 departure time is a no-op by construction, so the stream's cursor jumps
-past the whole run with one ``searchsorted``; when it *rejects*, the
-very next arrival of the stream is the next candidate.  Replay cost is
-one ``O(E log E)`` numpy grouping pass plus Python work proportional to
-the number of interesting events.
+past the whole run with one bisection; when it *rejects*, the very next
+arrival of the stream is the next candidate — unless the stream parks.
+
+**Parking stable rejections.**  A policy's
+:meth:`~repro.sim.policies.AdmissionPolicy.rejection_token` vouches for
+its rejections: while the token and the simulator's state (admits and
+live departures) are unchanged, a rejected stream would be rejected
+again.  So after an empty answer under a non-``None`` token the stream
+leaves the heap, its cursor just past the rejected arrival.  Parked
+streams wake at the next admit, live departure or token move (a commit
+the guard voided, a resync).  Each then counts its arrivals ordered
+before that event — ``offered`` and the policy's
+:meth:`~repro.sim.policies.AdmissionPolicy.count_rejections` — found by
+one bisection on its CSR time row, and pushes its next arrival.  The
+tie order is the replay order's: at a departure every arrival at that
+instant precedes it (``bisect_right``); at an admit or a token move at
+``(t, q)`` only the arrivals at ``t`` with global position below ``q``
+do.  A window boundary or the end of the trace counts every remaining
+parked arrival in the window.  Each park is woken exactly once, at one
+bisection and one push, and the rejection that caused it was already
+paid for, so the wake work never exceeds the decision work.  An answer
+the guard voided is never parked.  Replay cost is one ``O(E log E)``
+numpy grouping pass plus Python work proportional to the number of
+policy calls, admits and live departures.
 
 **Windowed replay of on-disk stores.**  :meth:`IndexedVideoSim.run_store`
 replays a time-sorted :class:`~repro.sim.store.TraceStore` window by
@@ -65,8 +85,10 @@ indexed engine reproduces the dict engine's
 integral, admits, violations, per-user utilities and utilization floats
 — because every handler fires in the dict engine's event order and
 every accumulation happens in the same IEEE order the dict code uses.
-Skipped events touch no counter and no integrator in either engine,
-which is what makes skipping them exact rather than approximate
+Skipped events touch no counter and no integrator in either engine, and
+a parked repeat touches only the counters it would have touched (its
+``offered`` and the policy's rejection count), which is what makes
+skipping them exact rather than approximate
 (``tests/test_sim_indexed.py`` asserts ``==``; ``tests/test_store.py``
 asserts windowed == monolithic at every window width).  The engine is
 selected per call (``engine="dict"``); the default is ``indexed``.
@@ -76,6 +98,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -382,12 +405,19 @@ class IndexedVideoSim:
         self.policy_violations += int(np.count_nonzero(~fits))
         return users[fits], user_pairs[fits]
 
-    def _on_arrival(self, position: int, k: int, now: float) -> bool:
-        """Offer inactive stream ``k`` to the policy; returns whether it
-        was admitted.  The driver only pops arrivals of streams not
-        currently carried, so every call is a decision."""
+    def _on_arrival(self, position: int, k: int, now: float) -> "bool | None":
+        """Offer inactive stream ``k`` to the policy.
+
+        Returns ``True`` when the stream was admitted, ``False`` when
+        the guard voided a nonempty answer, and ``None`` when the answer
+        was empty (a rejection, which touches no state and no counter
+        but ``offered``).  The driver only pops arrivals of streams not
+        currently carried, so every call is a decision.
+        """
         self.offered += 1
         receivers = self.policy.on_offer_indexed(k, self.view)
+        if not len(receivers):
+            return None
         return self._admit(position, k, now, np.asarray(receivers, dtype=np.int64))
 
     def _admit(
@@ -570,22 +600,73 @@ class IndexedVideoSim:
         stream to its scheduled departure time
         (:data:`_BEYOND_HORIZON` when the session outlives the horizon)
         and is maintained here for :meth:`_window_setup` to stitch the
-        next window.
+        next window.  Parked streams (module docstring) never cross a
+        boundary: their remaining arrivals in the window are counted
+        before it returns.
         """
         sorter, times_by_stream, cursor, bounds = self._window_setup(
             times, streams, heap, resident, offset
         )
+        # Cursor j of the CSR layout is the arrival at window-local
+        # position positions[j], at time arrival_times[j].
+        positions = sorter.tolist()
+        arrival_times = times_by_stream.tolist()
         push, pop = heapq.heappush, heapq.heappop
         on_arrival, on_departure = self._on_arrival, self._on_departure
+        rejection_token = self.policy.rejection_token
+        count_rejections = self.policy.count_rejections
+        parked: "list[int]" = []
+        parked_token = None
+
+        def wake(time: float, position: "int | None") -> None:
+            """Unpark every parked stream at the event ``(time, position)``.
+
+            Each counts its arrivals ordered before the event as the
+            rejections they would have been, and its next arrival goes
+            back on the heap.  ``position=None`` marks a departure, which
+            every arrival at its instant precedes (and, at time ``inf``,
+            the end of the window); at an arrival event, only the
+            same-instant arrivals at lower positions do.
+            """
+            skipped = 0
+            for k in parked:
+                lo, hi = cursor[k], bounds[k]
+                if position is None:
+                    j = bisect_right(arrival_times, time, lo, hi)
+                else:
+                    j = bisect_left(arrival_times, time, lo, hi)
+                    while (
+                        j < hi
+                        and arrival_times[j] == time
+                        and positions[j] + offset < position
+                    ):
+                        j += 1
+                if j > lo:
+                    skipped += j - lo
+                    count_rejections(k, j - lo)
+                cursor[k] = j
+                if j < hi:
+                    arrival_time = arrival_times[j]
+                    push(heap, (
+                        arrival_time, _ARRIVAL, arrival_time, positions[j] + offset, k
+                    ))
+            self.offered += skipped
+            parked.clear()
+
         while heap and (boundary is None or heap[0][0] < boundary):
             time, kind, _scheduled, position, k = pop(heap)
             if kind:
+                if parked:
+                    wake(time, None)
                 on_departure(position, k, time)
                 del resident[k]
                 continue
             lo = cursor[k] + 1
             hi = bounds[k]
-            if on_arrival(position, k, time):
+            admitted = on_arrival(position, k, time)
+            if admitted:
+                if parked:
+                    wake(time, position)
                 departure_time = float(departures[position - offset])
                 if departure_time <= horizon:
                     resident[k] = departure_time
@@ -593,20 +674,32 @@ class IndexedVideoSim:
                     # Admitted: every arrival of k at a time <= the
                     # departure fires while the stream is still carried
                     # (arrivals precede the departure at the tie instant)
-                    # — skip the whole no-op run with one searchsorted.
-                    lo += int(
-                        np.searchsorted(
-                            times_by_stream[lo:hi], departure_time, side="right"
-                        )
-                    )
+                    # — skip the whole no-op run with one bisection.
+                    lo = bisect_right(arrival_times, departure_time, lo, hi)
                 else:  # departs beyond the horizon: carried to the end
                     resident[k] = _BEYOND_HORIZON
                     lo = hi
+            else:
+                token = rejection_token()
+                if parked and token != parked_token:
+                    wake(time, position)
+                if admitted is None and token is not None:
+                    # A stable rejection: park k until the state or the
+                    # token moves, its cursor just past this arrival.
+                    cursor[k] = lo
+                    parked.append(k)
+                    parked_token = token
+                    continue
             cursor[k] = lo
             if lo < hi:
-                local = int(sorter[lo])
-                arrival_time = float(times[local])
-                push(heap, (arrival_time, _ARRIVAL, arrival_time, local + offset, k))
+                arrival_time = arrival_times[lo]
+                push(heap, (
+                    arrival_time, _ARRIVAL, arrival_time, positions[lo] + offset, k
+                ))
+        # Nothing left in this window can change the state: every parked
+        # stream's remaining arrivals here are repeats of its rejection.
+        if parked:
+            wake(math.inf, None)
 
     def run_store(
         self,

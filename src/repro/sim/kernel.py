@@ -2,16 +2,22 @@
 
 The simulation engines, all float-identical on a common trace:
 
-===========  ==========================================  ================
+===========  ==========================================  =================
 engine       replay driver                                policy calls
-===========  ==========================================  ================
+===========  ==========================================  =================
 ``dict``     heap calendar over string ids (the oracle)   one per decision
-``indexed``  decision-point kernel on the index arrays    one per decision
-             (:class:`~repro.sim.indexed.IndexedVideoSim`,
-             the default)
+``indexed``  decision-point kernel on the index arrays    one per stream
+             (:class:`~repro.sim.indexed.IndexedVideoSim`,  per state epoch
+             the default); parks stable rejections
 ``batched``  the same kernel plus a decision map for      one batched call
              ``batch_order_free`` policies                per state epoch
-===========  ==========================================  ================
+===========  ==========================================  =================
+
+A *state epoch* ends at an admit, at a live departure, and (under
+``indexed``) when the policy's
+:meth:`~repro.sim.policies.AdmissionPolicy.rejection_token` moves; a
+policy whose token is ``None`` is called once per decision under every
+engine.
 
 :class:`BatchedVideoSim` inherits the decision-point kernel of
 :class:`~repro.sim.indexed.IndexedVideoSim` unchanged and differs only
@@ -31,8 +37,10 @@ identical ``on_offer_indexed`` call sequence as under ``indexed``.
 Reports stay bit-identical to every other engine on a common trace
 (``tests/test_sim_indexed.py`` asserts ``==``), including windowed
 :meth:`~repro.sim.indexed.IndexedVideoSim.run_store` replay.
-``benchmarks/bench_e16_batched.py`` asserts the ≥ 3× floor over
-``indexed`` on a rejection-heavy threshold trace of ~10⁶ events.
+Since ``indexed`` parks rejected streams too, the decision map no
+longer beats it: ``benchmarks/bench_e16_batched.py`` reports both
+engines' times on a rejection-heavy threshold trace of ~10⁶ events and
+gates ``indexed``'s policy calls per offer instead.
 """
 
 from __future__ import annotations

@@ -20,6 +20,12 @@ Policies:
   utility-aware heuristic that still ignores load state).
 - :class:`RandomPolicy` — admit with probability ``p``, deliver to all
   fitting users (a noise floor).
+
+Policies tell the ``indexed`` engine when their rejections are stable
+through :meth:`AdmissionPolicy.rejection_token`: Threshold and Density
+return a constant (their answers are functions of the resource state),
+Allocate its allocator's state epoch, and Random (like any policy that
+does not override it) ``None``, which keeps one policy call per decision.
 """
 
 from __future__ import annotations
@@ -95,6 +101,14 @@ class ResourceView:
         self.user_used = _UserUsage(idx, self.user_used_array)
         self.active_streams: set[str] = set()
         self.active_mask = np.zeros(idx.num_streams, dtype=bool)
+        # Finite server budgets and the catalog's costs as Python floats,
+        # for the scalar server probe.
+        self._finite_budgets = [
+            (i, budget)
+            for i, budget in enumerate(idx.budgets.tolist())
+            if not math.isinf(budget)
+        ]
+        self._stream_costs = idx.stream_costs.tolist()
 
     @property
     def instance(self) -> MMDInstance:
@@ -126,14 +140,10 @@ class ResourceView:
     def fits_server_index(self, k: int, margin: float = 1.0) -> bool:
         """Would carrying stream index ``k`` keep all server budgets
         within ``margin`` of their caps?"""
-        idx = self.indexed
-        for i in range(idx.m):
-            budget = idx.budgets[i]
-            if math.isinf(budget):
-                continue
-            if self.server_used[i] + idx.stream_costs[k, i] > margin * budget * (
-                1 + FEASIBILITY_RTOL
-            ):
+        used = self.server_used.tolist()
+        costs = self._stream_costs[k]
+        for i, budget in self._finite_budgets:
+            if used[i] + costs[i] > margin * budget * (1 + FEASIBILITY_RTOL):
                 return False
         return True
 
@@ -307,6 +317,36 @@ class AdmissionPolicy(ABC):
         """Index form of :meth:`on_release` (default: string adapter)."""
         self.on_release(view.indexed.stream_ids[k])
 
+    def rejection_token(self) -> object:
+        """A value that vouches for this policy's past rejections.
+
+        The contract: while this value and the simulator's resource
+        state are both unchanged, every rejection the policy gave still
+        holds — offered the same stream again, it would answer empty
+        again, and answering would change nothing the policy keeps
+        apart from what :meth:`count_rejections` records.  The resource
+        state changes only at an admit and at the departure of an
+        admitted session.  The ``indexed`` engine relies on this to
+        *park* a rejected stream: it skips the stream's repeat arrivals
+        until the state or the token moves, and reports them through
+        :meth:`count_rejections` instead of :meth:`on_offer_indexed`.
+
+        The default, ``None``, means "never park": the policy sees one
+        :meth:`on_offer_indexed` call per decision, as under ``dict``.
+        That is right for any policy whose answers depend on something
+        else — an RNG, a call count, the arrival order.
+        """
+        return None
+
+    def count_rejections(self, k: int, n: int) -> None:
+        """Take ``n`` repeat offers of stream index ``k`` in bulk.
+
+        Called by the ``indexed`` engine for arrivals of a parked stream
+        (see :meth:`rejection_token`), each of which the policy would
+        have rejected; it may come after the state change that ends the
+        park.  The default does nothing.
+        """
+
 
 def _batch_row_answers(
     view: ResourceView, ks: np.ndarray, server_ok: np.ndarray, margin: float
@@ -353,7 +393,13 @@ class ThresholdPolicy(AdmissionPolicy):
     def bind_indexed(self, idx: IndexedInstance) -> None:
         """No state to build: the threshold rule is stateless."""
 
+    def rejection_token(self) -> int:
+        """A constant: the answers are a function of the resource state."""
+        return 0
+
     def on_offer(self, stream_id: str, view: ResourceView) -> "list[str]":
+        """Every interested user whose capacities fit within the margin,
+        or nobody when the server budgets do not."""
         if not view.fits_server(stream_id, self.margin):
             return []
         receivers = [
@@ -364,6 +410,8 @@ class ThresholdPolicy(AdmissionPolicy):
         return receivers
 
     def on_offer_indexed(self, k: int, view: ResourceView) -> np.ndarray:
+        """Index form of :meth:`on_offer`: the fitting users of ``k``'s
+        interest row, or an empty answer."""
         if not view.fits_server_index(k, self.margin):
             return EMPTY_USERS
         return view.interested_row(k)[view.row_fit_mask(k, self.margin)]
@@ -371,7 +419,7 @@ class ThresholdPolicy(AdmissionPolicy):
     def on_offer_batch(
         self, ks: np.ndarray, view: ResourceView
     ) -> "list[np.ndarray]":
-        # Stateless rule: answer the whole group in one vectorized pass.
+        """The whole group in one vectorized pass (a stateless rule)."""
         return _batch_row_answers(
             view, ks, view.fits_server_many(ks, self.margin), self.margin
         )
@@ -391,27 +439,47 @@ class AllocatePolicy(AdmissionPolicy):
         self.name = "allocate"
 
     def bind(self, instance: MMDInstance) -> None:
+        """Lower the instance and bind the allocator to its arrays."""
         self.bind_indexed(index_instance(instance))
 
     def bind_indexed(self, idx: IndexedInstance) -> None:
-        # The allocator runs on the arrays: binding an array-native
-        # instance builds no string-keyed model.
+        """Build a fresh guarded allocator over the arrays (an
+        array-native instance is not lifted to the string model)."""
         self._allocator = OnlineAllocator(idx, mu=self._mu, enforce_budgets=True)
         self.name = f"allocate(mu={self._allocator.mu:.3g})"
 
+    def rejection_token(self) -> int:
+        """The allocator's state epoch (:attr:`OnlineAllocator.epoch`).
+
+        It moves on every commit, release and resync, including a commit
+        the simulator's guard then voids, so it covers every input of a
+        decision that the simulator's state does not.
+        """
+        return self._allocator.epoch
+
+    def count_rejections(self, k: int, n: int) -> None:
+        """Count ``n`` skipped re-offers as the allocator's memo would
+        have: ``rejected_count`` grows by ``n``; the rejected list and
+        the memo already hold ``k`` at this epoch."""
+        self._allocator.rejected_count += n
+
     def on_offer(self, stream_id: str, view: ResourceView) -> "list[str]":
+        """The allocator's receivers for the stream (string ids)."""
         assert self._allocator is not None, "bind() was not called"
         return self._allocator.offer(stream_id)
 
     def on_offer_indexed(self, k: int, view: ResourceView) -> np.ndarray:
+        """The allocator's receivers for stream index ``k`` (user indices)."""
         assert self._allocator is not None, "bind() was not called"
         return self._allocator.offer_indexed(k)
 
     def on_release(self, stream_id: str) -> None:
+        """Return the departed stream's load to the allocator."""
         assert self._allocator is not None
         self._allocator.release(stream_id)
 
     def on_release_indexed(self, k: int, view: ResourceView) -> None:
+        """Index form of :meth:`on_release`."""
         assert self._allocator is not None
         self._allocator.release_indexed(k)
 
@@ -431,9 +499,11 @@ class DensityPolicy(AdmissionPolicy):
         self.name = f"density(q={quantile:g})"
 
     def bind(self, instance: MMDInstance) -> None:
+        """Lower the instance and compute the catalog's densities."""
         self.bind_indexed(index_instance(instance))
 
     def bind_indexed(self, idx: IndexedInstance) -> None:
+        """Compute every stream's density and the quantile cutoff."""
         # Vectorized over the indexed lowering: normalized catalog costs
         # (finite positive budgets only — zero budgets are vacuous) and
         # per-stream utilities via one segmented sum, the same floats as
@@ -448,7 +518,12 @@ class DensityPolicy(AdmissionPolicy):
         self._idx = idx
         self._densities = densities
 
+    def rejection_token(self) -> int:
+        """A constant: densities are static, the rest is resource state."""
+        return 0
+
     def on_offer(self, stream_id: str, view: ResourceView) -> "list[str]":
+        """Every fitting interested user of a dense enough stream."""
         density = float(self._densities[self._idx.stream_index[stream_id]])
         if density < self._cutoff:
             return []
@@ -461,6 +536,7 @@ class DensityPolicy(AdmissionPolicy):
         ]
 
     def on_offer_indexed(self, k: int, view: ResourceView) -> np.ndarray:
+        """Index form of :meth:`on_offer`."""
         if float(self._densities[k]) < self._cutoff:
             return EMPTY_USERS
         if not view.fits_server_index(k):
@@ -470,6 +546,7 @@ class DensityPolicy(AdmissionPolicy):
     def on_offer_batch(
         self, ks: np.ndarray, view: ResourceView
     ) -> "list[np.ndarray]":
+        """The whole group in one vectorized pass (a stateless rule)."""
         # ~(d < cutoff), not >=: keeps the scalar path's exact NaN
         # behaviour should a density ever be non-finite.
         ok = ~(self._densities[ks] < self._cutoff)
@@ -489,6 +566,7 @@ class RandomPolicy(AdmissionPolicy):
         """Stateless apart from the RNG: nothing to build."""
 
     def on_offer(self, stream_id: str, view: ResourceView) -> "list[str]":
+        """With probability ``p``, every fitting interested user."""
         if self._rng.random() >= self.p:
             return []
         if not view.fits_server(stream_id):
@@ -500,6 +578,7 @@ class RandomPolicy(AdmissionPolicy):
         ]
 
     def on_offer_indexed(self, k: int, view: ResourceView) -> np.ndarray:
+        """Index form of :meth:`on_offer`."""
         # Same single RNG draw per offer as the string path, so both
         # engines consume the random stream identically.
         if self._rng.random() >= self.p:

@@ -21,9 +21,11 @@ Three replay engines implement the identical semantics:
 - ``engine="indexed"`` (default) —
   :class:`repro.sim.indexed.IndexedVideoSim`, the array-native
   decision-point kernel: no-decision event runs are skipped wholesale,
-  Python fires only at policy decisions and live departures, and
-  reports reproduce the dict engine's float-for-float on any common
-  trace (``tests/test_sim_indexed.py``);
+  Python fires only at policy decisions and live departures, a stream
+  whose rejection the policy's ``rejection_token`` vouches for is
+  parked until the state changes (one policy call per stream per state
+  epoch), and reports reproduce the dict engine's float-for-float on
+  any common trace (``tests/test_sim_indexed.py``);
 - ``engine="batched"`` — :class:`repro.sim.kernel.BatchedVideoSim`,
   the same kernel plus a decision map for ``batch_order_free``
   policies: one vectorized ``on_offer_batch`` call answers every

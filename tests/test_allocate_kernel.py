@@ -595,7 +595,8 @@ class CertificateSpy:
     """Stands in for ``_certain_rejection`` and keeps what it certified.
 
     :meth:`check` re-decides the certified rejections of an offer by the
-    walk and the scalar loop in the offer's own drop order.
+    walk and the scalar loop in the offer's own drop order.  Every call
+    must pass the row's utility total the certificate would compute.
     """
 
     def __init__(self):
@@ -603,9 +604,10 @@ class CertificateSpy:
         self.min_charge = math.inf
         self.pending = []
 
-    def __call__(self, server_charge, charges, w):
+    def __call__(self, server_charge, charges, w, w_total):
+        assert w_total == float(np.add.reduce(w))
         self.min_charge = min(self.min_charge, float(np.nanmin(charges)))
-        certified = _certain_rejection(server_charge, charges, w)
+        certified = _certain_rejection(server_charge, charges, w, w_total)
         if certified:
             self.fired += 1
             self.pending.append((server_charge, charges.copy(), w.copy()))
@@ -714,7 +716,7 @@ def test_certificate_margin_near_its_allowance(n, seed):
     margins = [*range(-4, 5), *range(allowance - 8, allowance + 9), 2 * allowance]
     for k in margins:
         server = gain + k * step
-        certified = _certain_rejection(server, charges, w)
+        certified = _certain_rejection(server, charges, w, float(np.add.reduce(w)))
         if k <= allowance - 3:
             assert not certified, k
         if k >= allowance + 3:
@@ -733,14 +735,14 @@ def test_certificate_leaves_nan_and_inf_to_the_walk(poison):
     w = np.array([1.0, 2.0, 3.0, 4.0])
     charges = np.array([0.5, 0.0, 5.0, -1e-18])
     server = 1e6
-    assert _certain_rejection(server, charges, w)
+    assert _certain_rejection(server, charges, w, float(np.add.reduce(w)))
     if poison.endswith("charge"):
         charges[1] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}[poison[:-7]]
     elif poison == "overflow":
         server, charges[2] = 1.7e308, 1.7e308
     else:
         server = {"nan-server": math.nan, "inf-server": math.inf}[poison]
-    assert not _certain_rejection(server, charges, w)
+    assert not _certain_rejection(server, charges, w, float(np.add.reduce(w)))
 
 
 def _fan_instance(users: int = 3) -> MMDInstance:

@@ -9,7 +9,7 @@ serving layer): ``repro.core.indexed``,
 ``repro.core.batched``, ``repro.core.greedy``, every module of ``repro.instances``,
 ``repro.config``, every module of ``repro.experiments``,
 ``repro.core.allocate``, ``repro.sim.indexed``, ``repro.sim.kernel``,
-``repro.sim.store``, every module of ``repro.serve`` and
+``repro.sim.policies``, ``repro.sim.store``, every module of ``repro.serve`` and
 ``repro.util.atomic``.
 """
 
@@ -31,6 +31,7 @@ CHECKED_FILES = sorted(
         SRC / "config.py",
         SRC / "sim" / "indexed.py",
         SRC / "sim" / "kernel.py",
+        SRC / "sim" / "policies.py",
         SRC / "sim" / "store.py",
         SRC / "util" / "atomic.py",
         *(SRC / "instances").glob("*.py"),

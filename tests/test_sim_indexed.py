@@ -9,8 +9,11 @@ hypothesis-driven tests replay the same dict-drawn trace under all
 three engines for every built-in policy and assert equality with
 ``==``, plus determinism-under-seed for the vectorized trace draw,
 horizon-boundary and tie-breaking agreement, adversarial arrival
-patterns for the decision map and its dispatch rule, and regression
-tests for the degenerate-input fixes.
+patterns for the decision map and its dispatch rule, the indexed
+kernel's parking of stable rejections (tie order at wakes, policies
+that never park, tokens that move without a state change, Allocate's
+rejection bookkeeping, a reject-dominated fuzz), and regression tests
+for the degenerate-input fixes.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from repro.sim.indexed import (
     resolve_sim_engine,
 )
 from repro.sim.policies import (
+    EMPTY_USERS,
     AdmissionPolicy,
     AllocatePolicy,
     DensityPolicy,
@@ -707,3 +711,251 @@ class TestEngineResolution:
 
         with pytest.raises(ValidationError, match="unknown simulation engine"):
             resolve_sim_engine("warp")
+
+
+def _blocking_instance() -> MMDInstance:
+    """Streams ``a``, ``b`` and ``z`` each take 60% of the one server
+    budget, so any one blocks the others; ``x`` costs the server nothing
+    and goes to another user, so admitting it changes the state without
+    unblocking anything."""
+    from repro.core.instance import Stream
+
+    catalog = [Stream("a", (0.6,)), Stream("b", (0.6,)), Stream("z", (0.6,)),
+               Stream("x", (0.0,))]
+    people = [
+        User("u", math.inf, (math.inf,), {"a": 5.0, "b": 4.0, "z": 3.0}, {}),
+        User("v", math.inf, (math.inf,), {"x": 1.0}, {}),
+    ]
+    return MMDInstance(catalog, people, (1.0,), name="blocking")
+
+
+class CallLog(ThresholdPolicy):
+    """A threshold policy that logs the stream of every policy call and
+    counts the repeats it is told about in bulk."""
+
+    def __init__(self):
+        super().__init__(margin=1.0)
+        self.calls = []
+        self.bulk = 0
+
+    def on_offer_indexed(self, k, view):
+        self.calls.append(view.indexed.stream_ids[k])
+        return super().on_offer_indexed(k, view)
+
+    def count_rejections(self, k, n):
+        self.bulk += n
+
+
+def _events(rows):
+    return [SessionEvent(time=t, stream_id=sid, duration=d) for t, sid, d in rows]
+
+
+class TestParking:
+    """The indexed kernel parks a stream whose rejection the policy's
+    :meth:`~repro.sim.policies.AdmissionPolicy.rejection_token` vouches
+    for, and wakes it at the next admit, live departure or token move;
+    every report still equals the dict engine's."""
+
+    def _replay(self, trace, horizon=20.0):
+        instance = _blocking_instance()
+        assert_engines_agree(instance, CallLog, trace, horizon)
+        policy = CallLog()
+        report = simulate_trace(instance, policy, trace, horizon, engine="indexed")
+        assert len(policy.calls) + policy.bulk == report.offered
+        return policy, report
+
+    def test_parked_arrival_at_a_departure_instant_is_a_rejection(self):
+        """``b`` arrives at t=5, the instant ``a`` departs: arrivals sort
+        before departures, so it is a parked repeat, counted at the
+        departure's wake; ``b`` at t=6 is then decided (and admitted)."""
+        policy, report = self._replay(_events([
+            (0.0, "a", 5.0), (1.0, "b", 1.0), (5.0, "b", 1.0), (6.0, "b", 1.0),
+        ]))
+        assert policy.calls == ["a", "b", "b"]
+        assert policy.bulk == 1
+        assert (report.offered, report.admitted) == (4, 2)
+
+    def test_admit_wakes_by_trace_position_at_its_instant(self):
+        """``x`` is admitted at ``(t=2, q=2)`` and the policy carries any
+        stream only while ``x`` is carried.  ``b``'s arrival at ``(2, 1)``
+        precedes the admit, so it is a parked repeat of ``b``'s
+        rejection; the one at ``(2, 3)`` follows it and is admitted, with
+        its own duration."""
+
+        class WhileX(CallLog):
+            batch_order_free = False  # the inherited batch rule ignores x
+
+            def on_offer(self, stream_id, view):
+                if stream_id != "x" and "x" not in view.active_streams:
+                    return []
+                return super().on_offer(stream_id, view)
+
+            def on_offer_indexed(self, k, view):
+                self.calls.append(view.indexed.stream_ids[k])
+                if self.calls[-1] != "x" and "x" not in view.active_streams:
+                    return EMPTY_USERS
+                return ThresholdPolicy.on_offer_indexed(self, k, view)
+
+        instance = _blocking_instance()
+        trace = _events([
+            (1.0, "b", 1.0), (2.0, "b", 7.0), (2.0, "x", 9.0), (2.0, "b", 3.0),
+            (2.5, "b", 1.0),
+        ])
+        report = assert_engines_agree(instance, WhileX, trace, 20.0)
+        policy = WhileX()
+        assert_reports_identical(
+            report, simulate_trace(instance, policy, trace, 20.0, engine="indexed")
+        )
+        assert policy.calls == ["b", "x", "b"]
+        assert policy.bulk == 1
+        assert (report.offered, report.admitted) == (4, 2)
+        assert report.utility_time == 9.0 * 1.0 + 3.0 * 4.0
+
+    def test_wakes_at_an_admit_and_at_a_departure(self):
+        """``b`` stays blocked by ``a``; ``x`` comes and goes.  Each of its
+        admit and departure wakes ``b``, whose arrival tied with the
+        departure is a repeat counted there."""
+        policy, report = self._replay(_events([
+            (0.0, "a", 100.0), (1.0, "b", 1.0), (2.0, "b", 1.0), (2.0, "x", 1.0),
+            (2.0, "b", 1.0), (3.0, "b", 1.0), (4.0, "b", 1.0),
+        ]))
+        assert policy.calls == ["a", "b", "x", "b", "b"]
+        assert policy.bulk == 2
+        assert report.offered == 7
+
+    def test_parking_is_per_state_not_per_stream(self):
+        """Several parked streams all wake at one admit and each counts
+        only its own repeats."""
+        policy, report = self._replay(_events([
+            (0.0, "a", 100.0), (1.0, "b", 1.0), (1.5, "z", 1.0), (2.0, "z", 1.0),
+            (2.5, "b", 1.0), (3.0, "x", 0.5), (4.0, "b", 1.0), (4.0, "z", 1.0),
+        ]))
+        assert policy.calls == ["a", "b", "z", "x", "b", "z"]
+        assert policy.bulk == 2
+        assert report.offered == 8
+
+    def test_windowed_store_replay_cuts_parked_runs(self, tmp_path):
+        """Window edges inside parked runs: each window counts its own
+        parked repeats, and the report equals the monolithic replay."""
+        from repro.sim.simulation import simulate_store
+        from repro.sim.store import write_trace
+
+        instance = _blocking_instance()
+        trace = IndexedTrace.from_events(ensure_indexed(instance), _events(
+            [(0.0, "a", 9.0)] + [(0.5 + 0.5 * i, "bz"[i % 2], 1.0) for i in range(30)]
+        ))
+        store = write_trace(trace, tmp_path / "s")
+        parked = CallLog()
+        monolithic = simulate_trace(instance, parked, trace, 20.0, engine="indexed")
+        assert parked.bulk > 10
+        for factory in (CallLog, AllocatePolicy):
+            oracle = simulate_trace(instance, factory(), trace, 20.0, engine="dict")
+            if factory is CallLog:
+                assert_reports_identical(oracle, monolithic)
+            for window in (0.3, 1.0, 2.5, 7.0):
+                windowed = simulate_store(instance, factory(), store, 20.0,
+                                          engine="indexed", window=window)
+                assert_reports_identical(oracle, windowed)
+
+    def test_policy_without_token_sees_every_decision(self):
+        """A recording policy that keeps the default ``None`` token is
+        offered every decision, in the dict engine's order."""
+
+        class Recorder(AdmissionPolicy):
+            name = "recorder"
+
+            def __init__(self):
+                self.calls = []
+
+            def on_offer(self, stream_id, view):
+                self.calls.append(stream_id)
+                if not view.fits_server(stream_id):
+                    return []
+                return view.interested_users(stream_id)
+
+        instance = iptv_neighborhood_workload(num_channels=6, num_households=3, seed=8)
+        model = ArrivalModel(rate=15.0, mean_duration=30.0)
+        trace = draw_trace(instance, model, horizon=80.0, seed=5, engine="dict")
+        oracle, indexed = Recorder(), Recorder()
+        first = simulate_trace(instance, oracle, trace, 80.0, engine="dict")
+        second = simulate_trace(instance, indexed, trace, 80.0, engine="indexed")
+        assert_reports_identical(first, second)
+        assert indexed.calls == oracle.calls
+        assert len(indexed.calls) == first.offered > 2 * first.admitted
+
+    def test_token_moved_by_an_offer_wakes_the_parked(self):
+        """A token that moves inside ``on_offer_indexed`` (here: at each
+        offer of ``z``) with no state change still wakes parked streams:
+        ``b``'s next arrival after ``z`` is decided again."""
+
+        class MovingToken(CallLog):
+            def __init__(self):
+                super().__init__()
+                self.moves = 0
+
+            def on_offer_indexed(self, k, view):
+                if view.indexed.stream_ids[k] == "z":
+                    self.moves += 1
+                return super().on_offer_indexed(k, view)
+
+            def rejection_token(self):
+                return self.moves
+
+        instance = _blocking_instance()
+        trace = _events([
+            (0.0, "a", 100.0), (1.0, "b", 1.0), (2.0, "b", 1.0), (3.0, "z", 1.0),
+            (4.0, "b", 1.0), (5.0, "b", 1.0),
+        ])
+        assert_engines_agree(instance, MovingToken, trace, 20.0)
+        policy = MovingToken()
+        report = simulate_trace(instance, policy, trace, 20.0, engine="indexed")
+        assert policy.calls == ["a", "b", "z", "b"]
+        assert policy.bulk == 2
+        assert report.offered == 6
+
+    @pytest.mark.parametrize("engine", ["indexed", "batched"])
+    def test_allocator_bookkeeping_matches_dict(self, engine):
+        """After a reject-dominated replay, Allocate's rejection count,
+        rejected list and state digest equal the dict engine's, and the
+        indexed kernel made far fewer allocator calls than offers."""
+        instance = iptv_neighborhood_workload(num_channels=14, num_households=6, seed=11)
+        model = ArrivalModel(rate=6.0, mean_duration=75.0)
+        trace = draw_trace(instance, model, horizon=150.0, seed=7, engine="dict")
+        oracle, policy = AllocatePolicy(), AllocatePolicy()
+        first = simulate_trace(instance, oracle, trace, 150.0, engine="dict")
+        calls = []
+        inner = policy.on_offer_indexed
+
+        def counting(k, view):
+            calls.append(k)
+            return inner(k, view)
+
+        policy.on_offer_indexed = counting
+        second = simulate_trace(instance, policy, trace, 150.0, engine=engine)
+        assert_reports_identical(first, second)
+        assert policy._allocator.rejected_count == oracle._allocator.rejected_count
+        assert policy._allocator.rejected == oracle._allocator.rejected
+        assert policy._allocator.state_digest() == oracle._allocator.state_digest()
+        assert first.offered > 2 * first.admitted  # reject-dominated
+        assert 3 * len(calls) < first.offered
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        size=st.tuples(st.integers(2, 10), st.integers(1, 8)),
+        tight=st.floats(0.05, 0.4),
+        policy_key=st.sampled_from(sorted(POLICY_FACTORIES)),
+    )
+    def test_reject_dominated_parity(self, seed, size, tight, policy_key):
+        """Tight budgets and sessions of at least half the horizon: most
+        offers repeat a rejection under an unchanged state, the regime
+        parking targets.  Every engine still agrees."""
+        horizon = 40.0
+        instance = random_mmd(*size, m=2, mc=1, seed=seed, budget_fraction=tight)
+        model = ArrivalModel(rate=3.0, mean_duration=horizon)
+        trace = [
+            SessionEvent(e.time, e.stream_id, horizon / 2 + e.duration)
+            for e in draw_trace(instance, model, horizon=horizon, seed=seed,
+                                engine="dict")
+        ]
+        assert_engines_agree(instance, POLICY_FACTORIES[policy_key], trace, horizon)

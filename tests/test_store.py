@@ -106,7 +106,7 @@ def make_trace(rows):
 
 
 @st.composite
-def indexed_traces(draw, max_events=40):
+def indexed_traces(draw, max_events=40, min_duration=0.0):
     """Sorted random traces over the shared stream catalog."""
     n = draw(st.integers(min_value=0, max_value=max_events))
     gaps = draw(
@@ -125,7 +125,7 @@ def indexed_traces(draw, max_events=40):
     )
     durations = draw(
         st.lists(
-            st.floats(min_value=0.0, max_value=25.0),
+            st.floats(min_value=min_duration, max_value=min_duration + 25.0),
             min_size=n,
             max_size=n,
         )
@@ -338,6 +338,35 @@ def test_windowed_replay_property(trace, window, instance, tmp_path_factory):
             engine=engine, window=window,
         )
         assert_reports_identical(expected, got)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    trace=indexed_traces(max_events=60, min_duration=HORIZON / 2),
+    window=st.floats(min_value=0.25, max_value=30.0),
+    policy_name=st.sampled_from(["threshold", "allocate", "density"]),
+)
+def test_windowed_replay_property_with_parking(trace, window, policy_name,
+                                               instance, tmp_path_factory):
+    """Sessions of at least half the horizon fill the plant, so most
+    offers repeat a rejection and the indexed kernel parks those streams;
+    window edges cut the parked runs anywhere.  Windowed replay still
+    equals the dict oracle, and so does Allocate's rejection count."""
+    path = tmp_path_factory.mktemp("store") / "s"
+    store = write_trace(trace, path)
+    factory = POLICY_FACTORIES[policy_name]
+    oracle_policy = factory()
+    expected = simulate_trace(instance, oracle_policy, trace, HORIZON, engine="dict")
+    for engine in WINDOWED_ENGINES:
+        policy = factory()
+        got = simulate_store(instance, policy, store, HORIZON,
+                             engine=engine, window=window)
+        assert_reports_identical(expected, got)
+        if policy_name == "allocate":
+            assert (policy._allocator.rejected_count
+                    == oracle_policy._allocator.rejected_count)
+            assert (policy._allocator.state_digest()
+                    == oracle_policy._allocator.state_digest())
 
 
 def test_simulate_store_accepts_path_and_window(instance, tmp_path):
