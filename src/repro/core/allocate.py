@@ -35,10 +35,10 @@ finite duration):
 - the exponential charges are maintained *incrementally*: ``µ^{L(i)}``
   is cached per budget and refreshed (exactly) for just the budgets a
   commit or release touches, so an offer never recomputes ``mu **
-  load`` over the whole interested row — with
-  :meth:`OnlineAllocator.resync_charges` as the periodic float-drift
-  guard (a bit-wise no-op for the exact writes, asserted in tests) —
-  and rejections are tracked as :attr:`OnlineAllocator.rejected_count`
+  load`` over the whole interested row; the caches are never stored,
+  since :meth:`OnlineAllocator.resync_charges` rebuilds them from the
+  loads (how :meth:`~OnlineAllocator.load_state` restores them) — and
+  rejections are tracked as :attr:`OnlineAllocator.rejected_count`
   plus a deduplicated id list, so million-event simulations neither
   re-exponentiate nor leak memory;
 - everything an offer reads that does not move with the loads (charged
@@ -47,14 +47,12 @@ finite duration):
   at construction, aligned with the stream-major CSR arrays, and the
   Line-4 drop walk is one vectorized :func:`_drop_walk` over the
   offer's row;
-- rejections are memoized exactly: a decision is a pure function of
-  the stream, the loads and the charge caches (``enforce_budgets`` and
-  ``µ`` are fixed at construction), and a rejection moves none of
-  them, so a stream rejected since the last commit, release, resync or
-  :meth:`~OnlineAllocator.load_state` is rejected again in O(1), with
-  no charge gather, sort or drop walk.  The memo is one state epoch per
-  rejected stream; it is not part of the snapshot, and a restored
-  allocator (cold memo) gives the same answers;
+- a decision is a pure function of the stream, the loads and the
+  charge caches (``enforce_budgets`` and ``µ`` are fixed at
+  construction), and a rejection moves none of them, so a stream
+  rejected at the current :attr:`~OnlineAllocator.epoch` would be
+  rejected again — the token the ``indexed`` replay kernel parks such
+  repeats on, so they never reach the allocator;
 - a full decision that must reject is settled without the sort and the
   drop walk: every kept set's Line-4 margin is at least
   ``server − Σ_u max(0, w_u − c_u)``, and when that exceeds the walk's
@@ -80,14 +78,6 @@ from repro.core.indexed import (
 )
 from repro.core.instance import FEASIBILITY_RTOL, MMDInstance
 from repro.exceptions import ValidationError
-
-#: Commits/releases between defensive full recomputes of the cached
-#: exponential charges (the float-drift guard).  The per-entry cache
-#: writes are themselves exact recomputes of ``µ^L``, so the periodic
-#: resync is a bit-wise no-op by construction — it exists to pin that
-#: invariant at runtime, cheaply: frequent enough to run in every long
-#: replay, rare enough to vanish in 10⁶-event simulations.
-CHARGE_RESYNC_INTERVAL = 4096
 
 
 def global_skew_parameters(
@@ -313,7 +303,6 @@ class OnlineAllocator:
         # bit-identical to the uncached path).
         self._exp_server = np.ones(idx.m)
         self._exp_user = np.ones((num_users, mc))
-        self._ops_since_resync = 0
         # State epoch: bumped whenever a decision input can move (every
         # commit and release, a resync and a load_state), so "rejected at
         # the current epoch" proves a re-offer would be rejected again.
@@ -323,11 +312,10 @@ class OnlineAllocator:
         #: what is committed; :attr:`assignment` and the snapshot's
         #: ``offered`` list are derived from it.
         self._active_pairs: "dict[int, np.ndarray]" = {}
-        # Rejected stream indices in first-rejection order (a dict is
-        # both the order and the membership test), each mapped to the
-        # epoch of its latest rejection — the rejection memo.  Bounded
-        # by the catalog size, so million-event runs do not leak memory.
-        self._rejected: "dict[int, int | None]" = {}
+        # Rejected stream indices in first-rejection order, as an
+        # insertion-ordered set (dict keys).  Bounded by the catalog
+        # size, so million-event runs do not leak memory.
+        self._rejected: "dict[int, None]" = {}
         #: Total rejections, re-offers included.
         self.rejected_count = 0
 
@@ -376,33 +364,13 @@ class OnlineAllocator:
         """``C(i) = B'_i (µ^{L(i)} - 1)`` for a server budget (normalized scale)."""
         return self._server_scaled_budget[i] * (float(self._exp_server[i]) - 1.0)
 
-    def _server_charge(self, stream_id: str) -> float:
-        """``Σ_{i∈M} (c_i(S)/B_i)·C(i)`` — the server part of the Line 4 test."""
-        self.instance.stream(stream_id)  # canonical unknown-stream error
-        return self._server_charge_index(self._idx.stream_index[stream_id])
-
     def _server_charge_index(self, k: int) -> float:
-        """Index form of :meth:`_server_charge` (same floats, no id lookup)."""
+        """``Σ_{i∈M} (c_i(S)/B_i)·C(i)`` for stream index ``k`` — the
+        server part of the Line 4 test."""
         total = 0.0
         for i, ratio in self._server_terms[k]:
             total += ratio * self._exp_cost_server(i)
         return total
-
-    def _user_charge(self, user_id: str, stream_id: str) -> float:
-        """``Σ_j (k^u_j(S)/K^u_j)·C(u,j)`` — one user's part of the test.
-
-        Scalar diagnostic view of :meth:`_user_charges` (same kernel, a
-        single pair), for tests and interactive inspection.
-        """
-        idx = self._idx
-        u_i = idx.user_index[user_id]
-        k = idx.stream_index[self.instance.stream(stream_id).stream_id]
-        row = idx.s_user[idx.s_indptr[k]:idx.s_indptr[k + 1]]
-        position = np.flatnonzero(row == u_i)
-        if position.size == 0:
-            return 0.0  # zero utility pair: loads are zero by the model
-        pair = idx.s_indptr[k] + position[:1]
-        return float(self._user_charges(row[position[:1]], pair)[0])
 
     def _user_charges(self, row_users: np.ndarray, row_pairs) -> np.ndarray:
         """``Σ_j (k^u_j(S)/K^u_j)·C(u,j)`` for every interested user at once.
@@ -444,28 +412,27 @@ class OnlineAllocator:
             self.mu ** self._user_load_arr[selected_users, j]
         )
 
-    def _charges_mutated(self) -> None:
-        """Start a new state epoch and count a commit/release toward
-        the periodic drift-guard resync."""
-        self._epoch += 1
-        self._ops_since_resync += 1
-        if self._ops_since_resync >= CHARGE_RESYNC_INTERVAL:
-            self.resync_charges()
+    def _recharge_server(self, i: int) -> None:
+        """Refresh the cached ``µ^L`` of server budget ``i``: the exact
+        power of its load, or ``inf`` once that leaves the float range
+        (as numpy gives the user caches)."""
+        try:
+            self._exp_server[i] = self.mu ** float(self._server_load_arr[i])
+        except OverflowError:
+            self._exp_server[i] = math.inf
 
     def resync_charges(self) -> None:
-        """Float-drift guard: recompute every cached ``µ^L`` from the loads.
+        """Rebuild every cached ``µ^L`` from the loads.
 
-        Because the incremental writes are already exact per-entry
-        recomputes, this is a bit-wise no-op (asserted in
-        ``tests/test_allocate.py``); it runs every
-        :data:`CHARGE_RESYNC_INTERVAL` commits/releases as a cheap
-        runtime pin of that invariant, and gives any subclass that
-        swaps in genuinely multiplicative updates a bounded-drift story.
+        The caches hold no state of their own: each is the function of
+        its load that the incremental writes compute, so on a live
+        allocator this is a bit-wise no-op (asserted in
+        ``tests/test_allocate.py``), and :meth:`load_state` restores
+        the caches by calling it.  It starts a new state epoch.
         """
         for i in range(self._idx.m):
-            self._exp_server[i] = self.mu ** float(self._server_load_arr[i])
+            self._recharge_server(i)
         self._exp_user[...] = self.mu ** self._user_load_arr
-        self._ops_since_resync = 0
         self._epoch += 1
 
     # ------------------------------------------------------------------
@@ -474,11 +441,10 @@ class OnlineAllocator:
 
     def _reject(self, k: int) -> None:
         """Record a rejection: the count always grows, the id list only
-        on first rejection (so re-offers over a long trace stay O(1)),
-        and the memo notes the epoch it was decided at (re-assigning a
-        dict key keeps its first-rejection position)."""
+        on first rejection (so re-offers over a long trace stay O(1);
+        re-assigning a dict key keeps its first-rejection position)."""
         self.rejected_count += 1
-        self._rejected[k] = self._epoch
+        self._rejected[k] = None
 
     def _check_active(self, k: int) -> None:
         """Loud double-offer guard: an accepted stream stays active until
@@ -513,17 +479,12 @@ class OnlineAllocator:
     def offer_indexed(self, k: int) -> np.ndarray:
         """Index-native :meth:`offer`: stream index in, receiver user
         indices out (same floats, same decisions — the string form
-        delegates here).  A stream already rejected in the current state
-        epoch is rejected again from the memo, before any charge work;
-        a rejection the charges certify (:func:`_certain_rejection`)
-        skips the sort and the drop walk.  Every rejection returns the
-        same read-only empty array."""
+        delegates here).  A rejection the charges certify
+        (:func:`_certain_rejection`) skips the sort and the drop walk.
+        Every rejection returns the same read-only empty array."""
         idx = self._idx
         k = self._check_stream_index(k)
         self._check_active(k)
-        if self._rejected.get(k) == self._epoch:
-            self._reject(k)
-            return _REJECTED
         lo, hi = self._row_bounds[k], self._row_bounds[k + 1]
         if lo == hi:
             self._reject(k)
@@ -618,7 +579,7 @@ class OnlineAllocator:
         for i in self._server_measures:
             if charged[i]:
                 self._server_load_arr[i] = op(self._server_load_arr[i], ratio[i])
-                self._exp_server[i] = self.mu ** float(self._server_load_arr[i])
+                self._recharge_server(i)
         for j in range(self._idx.mc):
             hit = self._pair_charged[j, pairs]
             touched = users[hit]
@@ -626,7 +587,7 @@ class OnlineAllocator:
                 self._user_load_arr[touched, j], self._pair_ratio[j, pairs[hit]]
             )
             self._recharge(touched, j)
-        self._charges_mutated()
+        self._epoch += 1
 
     def release(self, stream_id: str) -> None:
         """Extension for finite-duration sessions: return a stream's load.
@@ -667,22 +628,18 @@ class OnlineAllocator:
 
         Everything :meth:`load_state` needs to make a fresh allocator
         (same instance, same ``mu``) *bit-identical* to this one:
-        normalized loads, the cached exponential charges (copied
-        verbatim rather than recomputed, so restore cannot drift),
-        active sessions with their receiver pairs, rejection
-        bookkeeping and the resync counter.  ``offered`` (the sorted
-        ids of the active streams) is derived from the sessions.
-        Static derived data (scales, ``µ``, the index, the per-pair
-        arrays) is rebuilt from the instance at construction and
-        therefore not part of the state.
+        normalized loads, active sessions with their receiver pairs and
+        rejection bookkeeping.  ``offered`` (the sorted ids of the
+        active streams) is derived from the sessions.  The ``µ^L``
+        charge caches are functions of the loads and static derived
+        data (scales, ``µ``, the index, the per-pair arrays) is rebuilt
+        from the instance at construction, so neither is part of the
+        state.
         """
         return {
             "mu": self.mu,
             "server_load": self._server_load_arr.copy(),
             "user_load": self._user_load_arr.copy(),
-            "exp_server": self._exp_server.copy(),
-            "exp_user": self._exp_user.copy(),
-            "ops_since_resync": int(self._ops_since_resync),
             "offered": sorted(self._idx.stream_ids_of(self._active_pairs)),
             "active_pairs": {
                 int(k): np.asarray(pairs, dtype=np.int64).copy()
@@ -696,15 +653,15 @@ class OnlineAllocator:
         """Restore a :meth:`state_dict` snapshot onto this allocator.
 
         The allocator must wrap the same instance with the same ``mu``
-        (checked loudly); afterwards every future decision — and
-        :meth:`resync_charges`, still a bit-wise no-op — is identical
+        (checked loudly); afterwards every future decision is identical
         to the allocator the state was taken from.  The state is
         validated in full before anything is written: ``offered`` must
         name exactly the streams of ``active_pairs``, and every active
         stream must hold at least one receiver pair inside its own
-        interest row.  The rejection memo is not part of the state and
-        restarts empty, so the first re-offer of each rejected stream
-        is decided in full.
+        interest row.  The loads are written and the charge caches
+        rebuilt from them by :meth:`resync_charges`; keys a state dict
+        carries beyond those of :meth:`state_dict` (older snapshots
+        stored the caches) are ignored.
         """
         if float(state["mu"]) != self.mu:
             raise ValidationError(
@@ -716,8 +673,6 @@ class OnlineAllocator:
         for name, target in (
             ("server_load", self._server_load_arr),
             ("user_load", self._user_load_arr),
-            ("exp_server", self._exp_server),
-            ("exp_user", self._exp_user),
         ):
             source = np.asarray(state[name], dtype=np.float64)
             if source.shape != target.shape:
@@ -762,12 +717,10 @@ class OnlineAllocator:
                 )
         for target, source in arrays:
             target[...] = source
-        self._ops_since_resync = int(state["ops_since_resync"])
         self._active_pairs = active
-        # No rejection carries an epoch yet: the memo restarts cold.
         self._rejected = dict.fromkeys(idx.stream_index[sid] for sid in rejected)
         self.rejected_count = int(state["rejected_count"])
-        self._epoch += 1
+        self.resync_charges()
 
     def state_digest(self) -> str:
         """SHA-256 fingerprint of the dynamic state (bit-identity checks).
@@ -783,12 +736,17 @@ class OnlineAllocator:
         state = self.state_dict()
         digest = hashlib.sha256()
         digest.update(repr(float(state["mu"])).encode())
-        for name in ("server_load", "user_load", "exp_server", "exp_user"):
-            arr = state[name]
+        # The live caches, not a recomputation: a restore that rebuilt a
+        # cache differently must not compare equal.
+        for name, arr in (
+            ("server_load", self._server_load_arr),
+            ("user_load", self._user_load_arr),
+            ("exp_server", self._exp_server),
+            ("exp_user", self._exp_user),
+        ):
             digest.update(name.encode())
             digest.update(repr(arr.shape).encode())
             digest.update(arr.tobytes())
-        digest.update(repr(int(state["ops_since_resync"])).encode())
         digest.update("\x00".join(state["offered"]).encode())
         for k, pairs in sorted(state["active_pairs"].items()):
             digest.update(repr(int(k)).encode())

@@ -30,10 +30,10 @@ Layers (one module each):
   crash-resumable stitching).
 
 Restore contract: ``snapshot + WAL tail`` replayed onto a fresh
-allocator is **bit-identical** (``state_digest`` equality, and
-``resync_charges()`` still a no-op) to the uninterrupted allocator —
-fuzzed under injected crashes and real ``SIGKILL`` in
-``tests/test_serve_chaos.py``.
+allocator is **bit-identical** (``state_digest`` equality, which covers
+the ``µ^L`` charge caches rebuilt from the snapshot's loads) to the
+uninterrupted allocator — fuzzed under injected crashes and real
+``SIGKILL`` in ``tests/test_serve_chaos.py``.
 """
 
 from __future__ import annotations

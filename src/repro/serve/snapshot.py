@@ -21,10 +21,14 @@ sha256), then the root pointer — each an atomic replace.  A crash at
 any instant leaves the previous pointer intact; a torn npz or manifest
 is detected by checksum on load and reported loudly.
 
-Arrays are stored **verbatim** (including the incremental ``µ^L``
-charge caches), never recomputed, so a restored allocator is bit-wise
-identical to the one that snapshotted — the property the chaos suite
-asserts via :meth:`~repro.core.allocate.OnlineAllocator.state_digest`.
+The loads are stored **verbatim**; the ``µ^L`` charge caches, functions
+of the loads, are not stored but rebuilt on load by
+:meth:`~repro.core.allocate.OnlineAllocator.resync_charges`, so a
+restored allocator is bit-wise identical to the one that snapshotted —
+the property the chaos suite asserts via
+:meth:`~repro.core.allocate.OnlineAllocator.state_digest`.  Snapshots
+written by earlier builds also hold the caches and a resync counter;
+loading reads only the fields this build writes and ignores the rest.
 """
 
 from __future__ import annotations
@@ -87,8 +91,6 @@ def _pack_state(state: "dict[str, object]") -> "tuple[bytes, str]":
         buffer,
         server_load=state["server_load"],
         user_load=state["user_load"],
-        exp_server=state["exp_server"],
-        exp_user=state["exp_user"],
         active_keys=keys,
         active_indptr=indptr,
         active_flat=flat,
@@ -109,9 +111,6 @@ def _unpack_state(
             "mu": float(body["mu"]),
             "server_load": bundle["server_load"],
             "user_load": bundle["user_load"],
-            "exp_server": bundle["exp_server"],
-            "exp_user": bundle["exp_user"],
-            "ops_since_resync": int(body["ops_since_resync"]),
             "offered": list(body["offered"]),
             "active_pairs": {
                 int(k): flat[indptr[i] : indptr[i + 1]].copy()
@@ -186,7 +185,6 @@ def write_snapshot(
         {
             "rows": int(wal_seq),
             "mu": float(state["mu"]),
-            "ops_since_resync": int(state["ops_since_resync"]),
             "offered": list(state["offered"]),
             "rejected": list(state["rejected"]),
             "rejected_count": int(state["rejected_count"]),

@@ -50,8 +50,8 @@ its rejections: while the token and the simulator's state (admits and
 live departures) are unchanged, a rejected stream would be rejected
 again.  So after an empty answer under a non-``None`` token the stream
 leaves the heap, its cursor just past the rejected arrival.  Parked
-streams wake at the next admit, live departure or token move (a commit
-the guard voided, a resync).  Each then counts its arrivals ordered
+streams wake at the next admit, live departure or token move (such as
+a commit the guard voided).  Each then counts its arrivals ordered
 before that event — ``offered`` and the policy's
 :meth:`~repro.sim.policies.AdmissionPolicy.count_rejections` — found by
 one bisection on its CSR time row, and pushes its next arrival.  The

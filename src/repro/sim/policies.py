@@ -451,16 +451,16 @@ class AllocatePolicy(AdmissionPolicy):
     def rejection_token(self) -> int:
         """The allocator's state epoch (:attr:`OnlineAllocator.epoch`).
 
-        It moves on every commit, release and resync, including a commit
-        the simulator's guard then voids, so it covers every input of a
+        It moves on every commit and release, including a commit the
+        simulator's guard then voids, so it covers every input of a
         decision that the simulator's state does not.
         """
         return self._allocator.epoch
 
     def count_rejections(self, k: int, n: int) -> None:
-        """Count ``n`` skipped re-offers as the allocator's memo would
-        have: ``rejected_count`` grows by ``n``; the rejected list and
-        the memo already hold ``k`` at this epoch."""
+        """Count ``n`` skipped re-offers as ``n`` rejections by the
+        allocator: ``rejected_count`` grows by ``n``; the rejected list
+        already holds ``k``."""
         self._allocator.rejected_count += n
 
     def on_offer(self, stream_id: str, view: ResourceView) -> "list[str]":

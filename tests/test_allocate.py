@@ -13,6 +13,7 @@ from repro.core.allocate import (
     global_skew_parameters,
     small_streams_condition,
 )
+from repro.core.instance import MMDInstance, Stream, User
 from repro.core.optimal import solve_exact_milp
 from repro.exceptions import ValidationError
 from repro.instances.generators import random_mmd, small_streams_mmd
@@ -200,8 +201,9 @@ class TestRejectionAccounting:
 
 class TestIncrementalCharges:
     """The cached exponential charges must equal ``µ^L`` bit-for-bit at
-    every point, and the periodic drift-guard resync must be a no-op —
-    the invariants that keep decisions identical to the uncached path."""
+    every point, and rebuilding them from the loads must be a no-op —
+    the invariants that keep decisions identical to the uncached path
+    and let a restore rebuild the caches instead of storing them."""
 
     @staticmethod
     def _exercise(allocator, inst, releases=True):
@@ -236,7 +238,6 @@ class TestIncrementalCharges:
         allocator.resync_charges()
         assert np.array_equal(allocator._exp_user, before_user)
         assert np.array_equal(allocator._exp_server, before_server)
-        assert allocator._ops_since_resync == 0
 
     def test_decisions_match_per_offer_recompute(self):
         """Offer-by-offer, the incremental allocator's receiver sets must
@@ -250,18 +251,48 @@ class TestIncrementalCharges:
             assert incremental.offer(sid) == reference.offer(sid)
 
 
+class TestChargeOverflow:
+    """Without the hard guard a load can pass 1, and ``µ^L`` can leave
+    the float range: the server cache then holds ``inf``, as numpy gives
+    the user caches, and the commit completes."""
+
+    @staticmethod
+    def _instance():
+        # µ ≈ 2e300, so µ^0.6 is finite and µ^1.2 is not.
+        catalog = [Stream("a", (0.6,)), Stream("b", (0.6,)), Stream("c", (0.6,))]
+        user = User("u", math.inf, (math.inf,), {"a": 1e150, "b": 1e150, "c": 1e-150}, {})
+        return MMDInstance(catalog, [user], (1.0,))
+
+    def test_server_cache_overflows_to_inf(self):
+        allocator = OnlineAllocator(self._instance(), enforce_budgets=False)
+        assert allocator.offer("a") == ["u"]
+        assert math.isfinite(allocator._exp_server[0])
+        assert allocator.offer("b") == ["u"]
+        assert allocator.state_dict()["offered"] == ["a", "b"]
+        assert allocator._server_load_arr[0] == 1.2
+        assert allocator._exp_server[0] == math.inf
+        assert allocator.offer("c") == []
+        allocator.resync_charges()
+        assert allocator._exp_server[0] == math.inf
+        restored = OnlineAllocator(self._instance(), enforce_budgets=False)
+        restored.load_state(allocator.state_dict())
+        assert restored.state_digest() == allocator.state_digest()
+
+
 class TestMaximality:
     def test_selected_set_satisfies_condition(self):
         """The chosen U_j satisfies the Line-4 inequality at decision time."""
         inst = small_streams_mmd(10, 4, seed=61)
         allocator = OnlineAllocator(inst, enforce_budgets=False)
+        idx = allocator._idx
         for sid in inst.stream_ids():
-            server_charge = allocator._server_charge(sid)
-            charges = {
-                u.user_id: allocator._user_charge(u.user_id, sid)
-                for u in inst.users
-                if sid in u.utilities
-            }
+            k = idx.stream_index[sid]
+            row = slice(int(idx.s_indptr[k]), int(idx.s_indptr[k + 1]))
+            server_charge = allocator._server_charge_index(k)
+            charges = dict(zip(
+                idx.user_ids_of(idx.s_user[row]),
+                allocator._user_charges(idx.s_user[row], row).tolist(),
+            ))
             receivers = allocator.offer(sid)
             if receivers:
                 total_charge = server_charge + sum(charges[u] for u in receivers)
@@ -387,21 +418,33 @@ class TestLoadStateConsistency:
         allocator.release(sid)
         assert restored.state_digest() == allocator.state_digest()
 
+    def test_digest_reads_the_live_caches(self):
+        """A restore that rebuilt a cache differently, by one ulp, must
+        not compare equal: the digest hashes the live caches."""
+        inst, allocator, state = self._state()
+        for cache in ("_exp_server", "_exp_user"):
+            restored = OnlineAllocator(inst)
+            restored.load_state(state)
+            assert restored.state_digest() == allocator.state_digest()
+            array = getattr(restored, cache)
+            array.flat[0] = np.nextafter(array.flat[0], np.inf)
+            assert restored.state_digest() != allocator.state_digest()
+
 
 class TestChargeResyncConfig:
-    """The periodic drift-guard resync never changes a decision."""
+    """Rebuilding the charge caches from the loads never changes a
+    decision."""
 
     def test_small_interval_forces_frequent_resync(self):
-        """Resyncing after every op (the smallest possible interval)
-        gives the same decisions as the default interval — the resync is
-        a bit-wise no-op guard."""
+        """Resyncing after every offer gives the same decisions and the
+        same caches as never resyncing — the rebuild is a bit-wise
+        no-op."""
         inst = small_streams_mmd(12, 3, seed=81)
         eager = OnlineAllocator(inst)
         lazy = OnlineAllocator(inst)
         for sid in inst.stream_ids():
             assert eager.offer(sid) == lazy.offer(sid)
             eager.resync_charges()
-            assert eager._ops_since_resync == 0
             assert np.array_equal(eager._exp_user, lazy._exp_user)
             assert np.array_equal(eager._exp_server, lazy._exp_server)
 

@@ -17,11 +17,12 @@ capacity measures, infinite caps and budgets, and zero-load pairs:
 - the drop walk equals the scalar loop, NaN and ``inf`` totals included;
 - the derived ``.assignment`` view equals an :class:`Assignment`
   maintained op by op, and :func:`allocate` keeps its results;
-- the rejection memo is exact: the reference overrides
-  ``offer_indexed`` and so never reads the memo, and long reject-heavy
-  interleavings of offers, batches, releases, resyncs and state round
-  trips give equal answers and state; each invalidation point (commit,
-  release, resync, ``load_state``) forces a full re-decision;
+- the allocator keeps no rejection memo: every offer is decided in
+  full, and long reject-heavy interleavings of offers, batches,
+  releases, resyncs and state round trips (which rebuild the charge
+  caches from the loads) give the reference's answers and state; a
+  rejected stream is re-decided against each new state (commit,
+  release, resync, ``load_state``);
 - ``offer_batch`` validates every stream index before writing state;
 - the rejection certificate is sound: every rejection it settles
   without the sort and the walk is re-decided by ``_drop_walk`` and by
@@ -202,7 +203,7 @@ class GatherAndMaskAllocator(OnlineAllocator):
                 touched = users[mask]
                 self._user_load_arr[touched, j] += sign * (load[mask] / cap[mask])
                 self._recharge(touched, j)
-        self._charges_mutated()
+        self._epoch += 1
 
     def offer_indexed(self, k):
         idx = self._idx
@@ -283,8 +284,7 @@ def _assert_same_charges(fast, reference):
 @pytest.mark.parametrize("enforce", [True, False], ids=["guard", "noguard"])
 @pytest.mark.parametrize("make", INSTANCES)
 class TestKernelBitIdentity:
-    def test_offer_indexed_and_release(self, make, enforce, monkeypatch):
-        monkeypatch.setattr(allocate_module, "CHARGE_RESYNC_INTERVAL", 7)
+    def test_offer_indexed_and_release(self, make, enforce):
         inst = make()
         fast = OnlineAllocator(inst, enforce_budgets=enforce)
         reference = GatherAndMaskAllocator(inst, enforce_budgets=enforce)
@@ -397,30 +397,44 @@ class TestDerivedAssignment:
             assert result.rejected == reference.rejected
 
 
-MEMO_INSTANCES = [
+REJECT_HEAVY_INSTANCES = [
     pytest.param(lambda: hand_built(4, mc=1, tight=0.5), id="tight-mc1"),
     pytest.param(lambda: hand_built(5, streams=18, users=12, mc=2, tight=0.5), id="tight-mc2"),
     pytest.param(lambda: hand_built(6, streams=10, users=14, mc=3, tight=0.4), id="tight-mc3"),
 ]
 
 
-def _memo_hit(allocator, k) -> bool:
-    """Whether ``offer_indexed(k)`` would answer from the rejection memo."""
-    return allocator._rejected.get(k) == allocator._epoch
+def _count_decisions(allocator) -> "list[int]":
+    """Count the allocator's charge computations (full decisions)."""
+    calls = [0]
+    inner = allocator._user_charges
+
+    def wrapper(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    allocator._user_charges = wrapper
+    return calls
 
 
 @pytest.mark.parametrize("enforce", [True, False], ids=["guard", "noguard"])
-@pytest.mark.parametrize("make", MEMO_INSTANCES)
-def test_memo_matches_unmemoized_reference(make, enforce, monkeypatch):
-    """Long reject-heavy interleavings: memoized answers equal the
-    reference's full recomputes, and so do the rejection bookkeeping and
-    the state digest, after every step."""
-    monkeypatch.setattr(allocate_module, "CHARGE_RESYNC_INTERVAL", 40)
+@pytest.mark.parametrize("make", REJECT_HEAVY_INSTANCES)
+def test_memo_matches_unmemoized_reference(make, enforce):
+    """Long reject-heavy interleavings with mid-run restores: the
+    allocator, which keeps no rejection memo, decides every offer in
+    full, and its answers, rejection bookkeeping and state digest equal
+    the reference's after every step.  A restore rebuilds the charge
+    caches from the loads, so the digest also checks that rebuild
+    against a reference that was never restored."""
     inst = make()
     fast = OnlineAllocator(inst, enforce_budgets=enforce)
     reference = GatherAndMaskAllocator(inst, enforce_budgets=enforce)
     rng = random.Random(17)
-    offers = hits = 0
+    offers = restores = 0
+    # Charge computations: those of replaced allocators, then the live
+    # one's; every offer of a stream with interested users makes one.
+    decided, counter, interested = 0, _count_decisions(fast), 0
+    row_size = np.diff(fast._idx.s_indptr)
     for _ in range(700):
         idle = [k for k in range(inst.num_streams) if k not in fast._active_pairs]
         roll = rng.random()
@@ -434,26 +448,28 @@ def test_memo_matches_unmemoized_reference(make, enforce, monkeypatch):
         elif roll < 0.08:
             restored = OnlineAllocator(inst, enforce_budgets=enforce)
             restored.load_state(fast.state_dict())
-            fast = restored
+            decided += counter[0]
+            fast, counter, restores = restored, _count_decisions(restored), restores + 1
         elif roll < 0.25:
             ks = rng.sample(idle, min(len(idle), rng.randint(1, 6)))
-            hits += sum(_memo_hit(fast, k) for k in ks)
             answers = fast.offer_batch(np.array(ks, dtype=np.int64))
             assert 1 <= len(answers) <= len(ks)
             for k, got in zip(ks, answers):
                 assert np.array_equal(got, reference.offer_indexed(k))
+                interested += bool(row_size[k])
             offers += len(answers)
         else:
             k = rng.choice(idle)
-            hits += _memo_hit(fast, k)
             assert np.array_equal(fast.offer_indexed(k), reference.offer_indexed(k))
+            interested += bool(row_size[k])
             offers += 1
+        assert decided + counter[0] == interested  # no answer without its charges
         assert fast.rejected_count == reference.rejected_count
         assert fast.rejected == reference.rejected
         assert fast.state_digest() == reference.state_digest()
-    # Reject-heavy, and the memo answered a large share of the offers.
+    # Reject-heavy, with restores in the run.
     assert fast.rejected_count > offers // 2
-    assert hits > offers // 4
+    assert restores > 0
 
 
 def _pair_instance(extra_free_stream: bool = False) -> MMDInstance:
@@ -466,53 +482,36 @@ def _pair_instance(extra_free_stream: bool = False) -> MMDInstance:
     if extra_free_stream:
         catalog.append(Stream("c", (0.0,)))
         people.append(User("v", math.inf, (math.inf,), {"c": 5.0}, {}))
-    return MMDInstance(catalog, people, (1.0,), name="memo-pair")
+    return MMDInstance(catalog, people, (1.0,), name="blocking-pair")
 
 
 class TestMemoInvalidation:
-    """A stream rejected before a state change is decided in full after
-    it; before the change, its re-offer is a memo hit with no charge
-    work."""
-
-    @staticmethod
-    def counting(allocator) -> "list[int]":
-        """Count the allocator's charge computations (full decisions)."""
-        calls = [0]
-        inner = allocator._user_charges
-
-        def wrapper(*args):
-            calls[0] += 1
-            return inner(*args)
-
-        allocator._user_charges = wrapper
-        return calls
+    """A stream rejected before a state change is re-decided against the
+    new state; the allocator keeps no rejection memo, so every offer,
+    repeats in an unchanged state included, is decided in full."""
 
     def blocked(self, **kwargs):
-        """``a`` admitted, then ``b`` rejected and re-rejected by the memo."""
+        """``a`` admitted, then ``b`` rejected twice, in full each time."""
         allocator = OnlineAllocator(_pair_instance(**kwargs))
-        calls = self.counting(allocator)
+        calls = _count_decisions(allocator)
         assert allocator.offer("a") == ["u"]
         assert allocator.offer("b") == []
-        assert calls[0] == 2
         assert allocator.offer("b") == []
-        assert calls[0] == 2  # memo hit: no charge work
+        assert calls[0] == 3
         assert allocator.rejected_count == 2 and allocator.rejected == ["b"]
         return allocator, calls
 
     def test_commit_invalidates(self):
         allocator, calls = self.blocked(extra_free_stream=True)
         assert allocator.offer("c") == ["v"]  # a commit elsewhere
-        assert calls[0] == 3
         assert allocator.offer("b") == []
-        assert calls[0] == 4  # decided in full again
-        assert allocator.offer("b") == []
-        assert calls[0] == 4
+        assert calls[0] == 5
 
     def test_release_invalidates(self):
         allocator, calls = self.blocked()
         allocator.release("a")
         assert allocator.offer("b") == ["u"]
-        assert calls[0] == 3
+        assert calls[0] == 4
 
     def test_resync_invalidates(self):
         """A drifted charge cache rejects; the resync restores the exact
@@ -525,27 +524,31 @@ class TestMemoInvalidation:
         assert allocator.offer("b") == ["u"]
 
     def test_load_state_invalidates(self):
-        """The restored state admits ``b``, which this allocator's memo had
-        rejected at its current epoch."""
+        """The restored state admits ``b``, which this allocator rejected
+        at its current epoch, and the restore moves the epoch."""
         allocator, calls = self.blocked()
         source = OnlineAllocator(allocator.instance)
         assert source.offer("a") == ["u"]
         assert source.offer("b") == []
         source.release("a")
-        assert source._epoch == allocator._epoch + 1
+        epoch = allocator.epoch
         allocator.load_state(source.state_dict())
+        assert allocator.epoch != epoch
         assert allocator.offer("b") == ["u"]
-        assert calls[0] == 3
+        assert calls[0] == 4
 
     def test_snapshot_excludes_memo(self):
+        """The state holds loads, sessions and rejection bookkeeping: no
+        memo and no charge cache, which a restore rebuilds bit for bit."""
         allocator, _calls = self.blocked()
         assert set(allocator.state_dict()) == {
-            "mu", "server_load", "user_load", "exp_server", "exp_user",
-            "ops_since_resync", "offered", "active_pairs", "rejected",
-            "rejected_count",
+            "mu", "server_load", "user_load", "offered", "active_pairs",
+            "rejected", "rejected_count",
         }
         restored = OnlineAllocator(allocator.instance)
         restored.load_state(allocator.state_dict())
+        assert restored._exp_server.tobytes() == allocator._exp_server.tobytes()
+        assert restored._exp_user.tobytes() == allocator._exp_user.tobytes()
         assert restored.state_digest() == allocator.state_digest()
         assert restored.offer("b") == allocator.offer("b") == []
         assert restored.state_digest() == allocator.state_digest()
@@ -646,8 +649,7 @@ def test_certificate_sound_on_random_sequences(seed, m, mc, tight, ops):
     fast = OnlineAllocator(inst)
     reference = GatherAndMaskAllocator(inst)
     spy = CertificateSpy()
-    with mock.patch.object(allocate_module, "_certain_rejection", spy), \
-            mock.patch.object(allocate_module, "CHARGE_RESYNC_INTERVAL", 25):
+    with mock.patch.object(allocate_module, "_certain_rejection", spy):
         for op, pick in ops:
             if op == "resync":
                 fast.resync_charges()
@@ -667,7 +669,7 @@ def test_certificate_sound_on_random_sequences(seed, m, mc, tight, ops):
     assert fast.state_digest() == reference.state_digest()
 
 
-@pytest.mark.parametrize("make", MEMO_INSTANCES)
+@pytest.mark.parametrize("make", REJECT_HEAVY_INSTANCES)
 def test_certificate_settles_reject_heavy_sequences(make):
     """The random-sequence check on fixed reject-heavy runs, where the
     certificate is known to fire."""
@@ -763,13 +765,12 @@ def test_certificate_on_hand_made_states_near_the_bound():
     exactly once, partway through."""
     inst = _fan_instance()
     fast, reference = OnlineAllocator(inst), GatherAndMaskAllocator(inst)
-    state = fast.state_dict()
     idx = fast._idx
     k = idx.stream_index["a"]
     w = idx.s_w[idx.s_indptr[k]:idx.s_indptr[k + 1]]
     total = float(np.add.reduce(w))
     allowance = _CERTIFICATE_ALLOWANCE * (w.size + 2)
-    # Server charge s* with s* − Σw = allowance·(s* + Σw); exp_server = 1 + s*/(ratio·B').
+    # Server charge s* with s* − Σw = allowance·(s* + Σw); µ^L = 1 + s*/(ratio·B').
     target = (total + allowance * total) / (1.0 - allowance)
     per_unit = fast._server_ratio[k, 0] * fast._server_scaled_budget[0]
     exp_target = 1.0 + target / per_unit
@@ -777,9 +778,8 @@ def test_certificate_on_hand_made_states_near_the_bound():
     answers = []
     with mock.patch.object(allocate_module, "_certain_rejection", spy):
         for steps in range(-20, 21):
-            state["exp_server"][0] = exp_target + steps * np.spacing(exp_target)
-            fast.load_state(state)
-            reference.load_state(state)
+            for allocator in (fast, reference):
+                allocator._exp_server[0] = exp_target + steps * np.spacing(exp_target)
             fired = spy.fired
             assert _offer_both(fast, reference, spy, k).size == 0
             answers.append(spy.fired - fired)
@@ -787,7 +787,7 @@ def test_certificate_on_hand_made_states_near_the_bound():
     assert sum(a != b for a, b in zip(answers, answers[1:])) == 1
 
 
-@pytest.mark.parametrize("make", MEMO_INSTANCES)
+@pytest.mark.parametrize("make", REJECT_HEAVY_INSTANCES)
 def test_certificate_with_tiny_negative_loads(make):
     """Residues like ``-1e-16`` on idle budgets make ``µ^L − 1`` and so
     some user and server charges slightly negative."""
@@ -805,9 +805,8 @@ def test_certificate_with_tiny_negative_loads(make):
         state["user_load"][u, j] = residue[n % residue.size]
     idle_server = [i for i in fast._server_measures if state["server_load"][i] == 0.0]
     state["server_load"][idle_server] = residue[0]
-    state["exp_server"][...] = fast.mu ** state["server_load"]
-    state["exp_user"][...] = fast.mu ** state["user_load"]
-    fast.load_state(state)
+    fast.load_state(state)  # rebuilds µ^L from the residues: just below 1
+    assert (fast._exp_user[tuple(idle.T)] < 1.0).all()
     reference = GatherAndMaskAllocator(inst)
     reference.load_state(state)
     spy = CertificateSpy()
@@ -834,12 +833,11 @@ def test_certificate_defers_poisoned_charges(poison):
     fast = OnlineAllocator(inst)
     for k in range(inst.num_streams):
         fast.offer_indexed(k)
-    state = fast.state_dict()
-    poisoned = np.flatnonzero(fast._finite_caps[:, 0])[:3]
-    state["exp_user"][poisoned, 0] = poison
-    fast.load_state(state)
     reference = GatherAndMaskAllocator(inst)
-    reference.load_state(state)
+    reference.load_state(fast.state_dict())
+    poisoned = np.flatnonzero(fast._finite_caps[:, 0])[:3]
+    for allocator in (fast, reference):
+        allocator._exp_user[poisoned, 0] = poison
     spy = CertificateSpy()
     idx = fast._idx
     seen = 0

@@ -22,6 +22,8 @@ Randomized crash/kill fuzzing lives in ``test_serve_chaos.py``.
 from __future__ import annotations
 
 import asyncio
+import hashlib
+import io
 import json
 import random
 import threading
@@ -46,7 +48,12 @@ from repro.serve.replay import (
     drive_with_recovery,
 )
 from repro.serve.service import AdmissionCore, ServeConfig, ServeFailure
-from repro.serve.snapshot import SHARD_MANIFEST_NAME, load_snapshot, write_snapshot
+from repro.serve.snapshot import (
+    SHARD_MANIFEST_NAME,
+    load_snapshot,
+    read_root_manifest,
+    write_snapshot,
+)
 from repro.serve.wal import (
     DecisionWal,
     FileSink,
@@ -57,6 +64,7 @@ from repro.serve.wal import (
 )
 from repro.sim.policies import AllocatePolicy
 from repro.sim.simulation import ArrivalModel, draw_trace, simulate_trace
+from repro.util.atomic import read_checked_manifest, write_checked_manifest
 
 
 @pytest.fixture(scope="module")
@@ -196,12 +204,18 @@ class TestSnapshot:
         seq, loaded, idem = load_snapshot(tmp_path, "snap-000000000006")
         assert seq == 6
         assert idem == {"o1": {"ok": True, "seq": 1}}
-        for name in ("server_load", "user_load", "exp_server", "exp_user"):
-            assert np.array_equal(state[name], loaded[name])
+        assert set(loaded) == set(state)  # the loads, never the µ^L caches
+        for name in ("server_load", "user_load"):
+            assert state[name].tobytes() == loaded[name].tobytes()
         assert loaded["offered"] == state["offered"]
         assert {k: list(v) for k, v in loaded["active_pairs"].items()} == {
             k: list(v) for k, v in state["active_pairs"].items()
         }
+        restored = OnlineAllocator(instance)
+        restored.load_state(loaded)
+        assert restored._exp_server.tobytes() == alloc._exp_server.tobytes()
+        assert restored._exp_user.tobytes() == alloc._exp_user.tobytes()
+        assert restored.state_digest() == alloc.state_digest()
 
     def test_tampered_npz_is_loud(self, tmp_path, instance):
         alloc = self.make_state(instance)
@@ -327,34 +341,98 @@ class TestAdmissionCore:
             AdmissionCore.restore(tmp_path / "absent")
 
     def test_restore_is_bit_identical(self, tmp_path, instance):
+        # 12 offers, a snapshot every 5: the restore replays a WAL tail
         core = AdmissionCore.create(instance, tmp_path / "svc",
-                                    config=ServeConfig(snapshot_every=4))
+                                    config=ServeConfig(snapshot_every=5))
         for i, s in enumerate(instance.streams):
             core.offer(s.stream_id, key=f"o{i}")
         digest = core.state_digest()
+        exp_server = core.allocator._exp_server.copy()
+        exp_user = core.allocator._exp_user.copy()
         core.close()
         restored = AdmissionCore.restore(tmp_path / "svc")
+        assert restored.restore_info["replayed"] > 0  # a snapshot plus a WAL tail
         assert restored.state_digest() == digest
+        # the µ^L caches rebuilt from the snapshot's loads, then moved by
+        # the replayed tail, equal the uninterrupted allocator's bit for bit
+        assert restored.allocator._exp_server.tobytes() == exp_server.tobytes()
+        assert restored.allocator._exp_user.tobytes() == exp_user.tobytes()
         # the idempotency map survives restore (snapshot + WAL replay)
         assert restored.offer(instance.streams[0].stream_id, key="o0")["seq"] == 0
-        # resync_charges stays a bit-wise no-op on the restored charges
-        before = restored.allocator.state_dict()
-        restored.allocator.resync_charges()
-        after = restored.allocator.state_dict()
-        assert np.array_equal(before["exp_server"], after["exp_server"])
-        assert np.array_equal(before["exp_user"], after["exp_user"])
+        restored.close()
+
+    def test_earlier_snapshot_layout_restores(self, tmp_path, instance):
+        """A snapshot in the layout of earlier builds, which also stored
+        the ``µ^L`` caches (npz members ``exp_server``/``exp_user``) and
+        a resync counter (manifest key ``ops_since_resync``), restores
+        to the uninterrupted run's digest and next decisions."""
+        rng = random.Random(11)
+        ops = [rng.randrange(instance.num_streams) for _ in range(40)]
+
+        def run(core, part, start):
+            for i, k in enumerate(part, start):
+                if k in core.allocator._active_pairs:
+                    core.release(k, key=f"r{i}")
+                else:
+                    core.offer(k, key=f"o{i}")
+
+        config = ServeConfig(snapshot_every=8)
+        reference = AdmissionCore.create(instance, tmp_path / "ref", config=config)
+        run(reference, ops, 0)
+        old = AdmissionCore.create(instance, tmp_path / "old", config=config)
+        run(old, ops[:20], 0)
+        old.close()
+        root = tmp_path / "old"
+        name = read_root_manifest(root)["snapshot"]
+        seq = int(name.split("-")[1])
+        bare = OnlineAllocator(instance)  # its caches: those at the snapshot
+        for k in ops[:seq]:
+            if k in bare._active_pairs:
+                bare.release_indexed(k)
+            else:
+                bare.offer_indexed(k)
+        snap = root / "snapshots" / name
+        body = read_checked_manifest(snap / "state.json", "snapshot manifest")
+        with np.load(snap / "state.npz") as bundle:
+            members = {key: bundle[key] for key in bundle.files}
+        buffer = io.BytesIO()
+        np.savez(
+            buffer,
+            server_load=members["server_load"],
+            user_load=members["user_load"],
+            exp_server=bare._exp_server,
+            exp_user=bare._exp_user,
+            active_keys=members["active_keys"],
+            active_indptr=members["active_indptr"],
+            active_flat=members["active_flat"],
+        )
+        (snap / "state.npz").write_bytes(buffer.getvalue())
+        body["npz_sha256"] = hashlib.sha256(buffer.getvalue()).hexdigest()
+        body["ops_since_resync"] = seq
+        write_checked_manifest(snap / "state.json", body)
+
+        restored = AdmissionCore.restore(root)
+        assert restored.restore_info["snapshot_seq"] == seq
+        run(restored, ops[20:], 20)
+        assert restored.next_seq == reference.next_seq == len(ops)
+        assert restored.state_digest() == reference.state_digest()
+        assert (root / "wal.jsonl").read_bytes() == \
+            (tmp_path / "ref" / "wal.jsonl").read_bytes()
+        reference.close()
         restored.close()
 
     def test_cold_memo_restore_mid_reject_storm(self, tmp_path, instance):
-        """Restore mid-stream on an op stream of mostly repeat rejections.
+        """Restore mid-stream on an op stream of mostly repeat rejections
+        (re-offers of a stream rejected at the current epoch).
 
-        The restored core's allocator starts with an empty rejection
-        memo while the uninterrupted one answers most offers from its
-        warm memo; WAL bytes, ``next_seq`` and the digest still match.
+        The allocator keeps no rejection memo, so restored and
+        uninterrupted cores decide every repeat in full from the same
+        loads and rebuilt caches; WAL bytes, ``next_seq`` and the digest
+        match.
         """
         bare = OnlineAllocator(instance)
         rng = random.Random(5)
-        ops, repeats = [], 0
+        ops, repeats, rejected_at = [], 0, {}
         for i in range(240):
             if bare._active_pairs and rng.random() < 0.04:
                 k = rng.choice(sorted(bare._active_pairs))
@@ -364,8 +442,9 @@ class TestAdmissionCore:
             idle = [k for k in range(instance.num_streams)
                     if k not in bare._active_pairs]
             k = rng.choice(idle)
-            repeats += bare._rejected.get(k) == bare._epoch  # memo hit
-            bare.offer_indexed(k)
+            repeats += rejected_at.get(k) == bare.epoch
+            if not bare.offer_indexed(k).size:
+                rejected_at[k] = bare.epoch
             ops.append(("offer", k, f"o{i}"))
         assert repeats > len(ops) // 2
 
