@@ -42,11 +42,14 @@ finite duration):
   plus a deduplicated id list, so million-event simulations neither
   re-exponentiate nor leak memory;
 - everything an offer reads that does not move with the loads (charged
-  and finite masks, ``load/cap`` ratios, scaled caps, user ranks, the
-  per-stream server ratios) is precomputed once per (stream, user) pair
-  at construction, aligned with the stream-major CSR arrays, and the
-  Line-4 drop walk is one vectorized :func:`_drop_walk` over the
-  offer's row;
+  masks, ``load/cap`` ratios — and the hard guard's copy of them, ``-inf``
+  where a cap is infinite — scaled caps, user ranks, the per-stream
+  server ratios) is precomputed once per (stream, user) pair at
+  construction, aligned with the stream-major CSR arrays, together with
+  a flag per measure and stream telling whether the stream's whole row
+  is charged, on which the charge, the commit and the release need no
+  mask; the Line-4 drop walk is one vectorized :func:`_drop_walk` over
+  the offer's row;
 - a decision is a pure function of the stream, the loads and the
   charge caches (``enforce_budgets`` and ``µ`` are fixed at
   construction), and a rejection moves none of them, so a stream
@@ -109,6 +112,9 @@ def small_streams_condition(
     return small_streams_indexed(ensure_indexed(instance), mu)
 
 
+#: A normalized load past this exceeds its budget (the hard guard's test).
+_GUARD_LIMIT = 1.0 + FEASIBILITY_RTOL
+
 #: The answer of every rejection: one shared, read-only empty array.
 _REJECTED = np.empty(0, dtype=np.int64)
 _REJECTED.flags.writeable = False
@@ -156,22 +162,22 @@ def _drop_walk(server_charge: float, sorted_cw: np.ndarray) -> int:
     utilities, in ascending (charge/utility, rank) order.  The walk
     starts from the full totals (server charge included) and drops the
     last user, one subtraction at a time, while total charge exceeds
-    total utility — the paper's note after Alg. 2.  ``cumsum`` and
-    ``subtract.accumulate`` both run sequentially along a row, so
+    total utility — the paper's note after Alg. 2.  ``add.accumulate``
+    and ``subtract.accumulate`` both run sequentially along a row, so
     column ``s`` of the walk is bit-for-bit the running total a scalar
     loop holds after ``s`` removals, and a NaN total stops the walk
     exactly as the scalar ``>`` test would.
     """
     n = sorted_cw.shape[1]
     walk = np.empty((2, n + 1))
-    walk[:, 0] = np.cumsum(sorted_cw, axis=1)[:, -1]
+    walk[:, :0:-1] = sorted_cw  # column s drops entry n - s
+    walk[:, 0] = np.add.accumulate(sorted_cw, axis=1)[:, -1]
     walk[0, 0] += server_charge
-    walk[:, 1:] = sorted_cw[:, ::-1]  # column s drops entry n - s
     with np.errstate(invalid="ignore", over="ignore"):
         np.subtract.accumulate(walk, axis=1, out=walk)
-    stop = ~(walk[0] > walk[1])
-    stop[n] = True  # every user dropped
-    return n - int(stop.argmax())
+    go_on = walk[0] > walk[1]
+    go_on[n] = False  # every user dropped
+    return n - int(go_on.argmin())
 
 
 class OnlineAllocator:
@@ -228,18 +234,15 @@ class OnlineAllocator:
             scale = float((min_w[mask] / (self.d * cost[mask])).min()) if mask.any() else math.inf
             scale = 1.0 if math.isinf(scale) else scale
             self._server_scaled_budget[i] = scale * float(idx.budgets[i])
-        # Per-stream server data: which measures a stream is charged on
-        # (c_i(S) > 0) and its normalized cost c_i(S)/B_i, shape (|S|, m).
-        self._server_charged = idx.stream_costs > 0
+        # Per-stream normalized server costs c_i(S)/B_i, shape (|S|, m).
         with np.errstate(divide="ignore", invalid="ignore"):
             self._server_ratio = idx.stream_costs / idx.budgets
         # The same terms per stream as Python floats, one ``(i, c_i(S)/B_i)``
-        # entry per charged finite measure, for the full decision's sum.
+        # entry per finite measure the stream is charged on (c_i(S) > 0),
+        # for the full decision's sum, the commit and the release.
         self._server_terms: "list[list[tuple[int, float]]]" = [
-            [(i, ratio[i]) for i in self._server_measures if charged[i]]
-            for charged, ratio in zip(
-                self._server_charged.tolist(), self._server_ratio.tolist()
-            )
+            [(i, ratio[i]) for i in self._server_measures if costs[i] > 0]
+            for costs, ratio in zip(idx.stream_costs.tolist(), self._server_ratio.tolist())
         ]
         # Stream-major row bounds, and each row's Σ_u w_u(S) by the same
         # reduction over the same slice the certificate would run.
@@ -275,8 +278,8 @@ class OnlineAllocator:
         # floats are the same.
         pair_cap = np.ascontiguousarray(idx.capacities[idx.s_user].T)
         pair_load = np.ascontiguousarray(idx.s_loads.T)
-        self._pair_finite = np.isfinite(pair_cap)
-        self._pair_charged = self._pair_finite & (pair_load > 0.0)
+        pair_finite = np.isfinite(pair_cap)
+        self._pair_charged = pair_finite & (pair_load > 0.0)
         # Ratio and scaled cap are zero on uncharged pairs, so the charge
         # kernel forms no 0·inf and no 0/0 there.  The hard guard also
         # reads the ratio of an uncharged finite-cap pair, whose load is
@@ -287,6 +290,19 @@ class OnlineAllocator:
         self._pair_scaled_cap = np.where(
             self._pair_charged, np.ascontiguousarray(user_scale[idx.s_user].T) * pair_cap, 0.0
         )
+        # The hard guard's ratio: ``-inf`` where the cap is infinite, so
+        # ``L + ratio > 1 + rtol`` is false there without a finite mask.
+        self._pair_guard_ratio = np.where(pair_finite, self._pair_ratio, -np.inf)
+        # Per measure and stream: is every pair of the row charged?  On
+        # such a row the charge, the commit and the release read the
+        # per-pair arrays without a mask.  (An empty row counts as fully
+        # charged; it is rejected before any of them runs.)
+        self._row_charged: "list[list[bool]]" = [
+            (
+                np.bincount(idx.s_pair_stream[~charged], minlength=idx.num_streams) == 0
+            ).tolist()
+            for charged in self._pair_charged
+        ]
         #: Lexicographic user rank per pair — the drop order's tie-break.
         self._pair_rank = idx.user_rank[idx.s_user]
 
@@ -372,12 +388,16 @@ class OnlineAllocator:
             total += ratio * self._exp_cost_server(i)
         return total
 
-    def _user_charges(self, row_users: np.ndarray, row_pairs) -> np.ndarray:
+    def _user_charges(
+        self, row_users: np.ndarray, row_pairs, k: "int | None" = None
+    ) -> np.ndarray:
         """``Σ_j (k^u_j(S)/K^u_j)·C(u,j)`` for every interested user at once.
 
         ``row_pairs`` indexes the per-pair arrays (an index array or a
-        slice of one stream's row).  Measures accumulate in ascending
-        ``j`` — the same per-user order (and hence the same floats) as
+        slice of one stream's row).  Given ``k``, ``row_pairs`` is
+        stream ``k``'s whole row, and a measure on which every pair of
+        that row is charged skips the mask.  Measures accumulate in
+        ascending ``j`` — the same per-user order (and hence the same floats) as
         charging one user at a time; an uncharged pair adds an exact
         ``0.0``.  The exponentials come from the :attr:`_exp_user` cache
         (maintained exactly on commit/release) and every other operand
@@ -389,10 +409,10 @@ class OnlineAllocator:
         where it equals ``0.0``.
         """
         charge = None
-        for j in range(self._idx.mc):
-            cost = np.where(
-                self._pair_charged[j, row_pairs], self._exp_user[:, j][row_users], 1.0
-            )
+        for j, full in enumerate(self._row_charged):
+            cost = self._exp_user[:, j][row_users]
+            if k is None or not full[k]:
+                cost = np.where(self._pair_charged[j, row_pairs], cost, 1.0)
             cost -= 1.0
             cost *= self._pair_scaled_cap[j, row_pairs]
             cost *= self._pair_ratio[j, row_pairs]
@@ -401,16 +421,6 @@ class OnlineAllocator:
             else:
                 charge += cost
         return np.zeros(row_users.size) if charge is None else charge
-
-    def _recharge(self, selected_users: np.ndarray, j: int) -> None:
-        """Refresh the cached ``µ^L`` of the given (user, ``j``) budgets.
-
-        Called after a commit or release changed those loads; the write
-        is the exact power of the new load, so the cache never drifts.
-        """
-        self._exp_user[selected_users, j] = (
-            self.mu ** self._user_load_arr[selected_users, j]
-        )
 
     def _recharge_server(self, i: int) -> None:
         """Refresh the cached ``µ^L`` of server budget ``i``: the exact
@@ -492,7 +502,7 @@ class OnlineAllocator:
         row = slice(lo, hi)
         row_users = idx.s_user[row]
         row_w = idx.s_w[row]
-        charges = self._user_charges(row_users, row)
+        charges = self._user_charges(row_users, row, k)
         server_charge = self._server_charge_index(k)
         if _certain_rejection(server_charge, charges, row_w, self._row_w_total[k]):
             self._reject(k)
@@ -502,15 +512,15 @@ class OnlineAllocator:
         # until the Line 4 condition holds (the paper's note after Alg. 2).
         order = np.lexsort((self._pair_rank[row], charges / row_w))
         sorted_cw = np.empty((2, hi - lo))
-        sorted_cw[0] = charges[order]
-        sorted_cw[1] = row_w[order]
+        charges.take(order, out=sorted_cw[0])
+        row_w.take(order, out=sorted_cw[1])
         count = _drop_walk(server_charge, sorted_cw)
         if count == 0:
             self._reject(k)
             return _REJECTED
         chosen = order[:count]
         selected_users = row_users[chosen]
-        selected_pairs = lo + chosen
+        selected_pairs = chosen + lo
 
         if self.enforce_budgets:
             selected_users, selected_pairs = self._hard_guard(
@@ -520,7 +530,7 @@ class OnlineAllocator:
                 self._reject(k)
                 return _REJECTED
 
-        self._move_load(k, selected_users, selected_pairs, np.add)
+        self._move_load(k, selected_users, selected_pairs, commit=True)
         self._active_pairs[k] = selected_pairs
         return selected_users
 
@@ -551,42 +561,54 @@ class OnlineAllocator:
         self, k: int, selected_users: np.ndarray, selected_pairs: np.ndarray
     ):
         """Drop the stream (or individual users) if committing would exceed
-        a budget.  Never fires under the small-streams precondition."""
+        a budget.  Never fires under the small-streams precondition, and
+        then returns the selection as it came."""
         empty = np.empty(0, dtype=np.int64)
         ratio = self._server_ratio[k]
         for i in self._server_measures:
-            if self._server_load_arr[i] + ratio[i] > 1.0 + FEASIBILITY_RTOL:
+            if self._server_load_arr[i] + ratio[i] > _GUARD_LIMIT:
                 return empty, empty
-        fits = np.ones(selected_users.size, dtype=bool)
-        for j in range(self._idx.mc):
-            over = (
-                self._user_load_arr[selected_users, j]
-                + self._pair_ratio[j, selected_pairs]
-                > 1.0 + FEASIBILITY_RTOL
+        over = None
+        for j, guard_ratio in enumerate(self._pair_guard_ratio):
+            over_j = (
+                self._user_load_arr[:, j][selected_users] + guard_ratio[selected_pairs]
+                > _GUARD_LIMIT
             )
-            fits &= ~(self._pair_finite[j, selected_pairs] & over)
+            over = over_j if over is None else over | over_j
+        if over is None or not np.count_nonzero(over):
+            return selected_users, selected_pairs
+        fits = ~over
         return selected_users[fits], selected_pairs[fits]
 
-    def _move_load(self, k: int, users: np.ndarray, pairs: np.ndarray, op) -> None:
-        """Commit (``op=np.add``) or release (``np.subtract``) a session.
+    def _move_load(
+        self, k: int, users: np.ndarray, pairs: np.ndarray, commit: bool
+    ) -> None:
+        """Commit (``commit=True``) or release a session.
 
         Moves stream ``k``'s normalized load on its charged server
         budgets once and on each receiver pair's charged capacities,
         then refreshes the charge caches of exactly the budgets that
-        moved.
+        moved, from the loads just written.  On a measure where ``k``'s
+        whole row is charged every receiver moves, unmasked.
         """
-        charged, ratio = self._server_charged[k], self._server_ratio[k]
-        for i in self._server_measures:
-            if charged[i]:
-                self._server_load_arr[i] = op(self._server_load_arr[i], ratio[i])
-                self._recharge_server(i)
-        for j in range(self._idx.mc):
-            hit = self._pair_charged[j, pairs]
-            touched = users[hit]
-            self._user_load_arr[touched, j] = op(
-                self._user_load_arr[touched, j], self._pair_ratio[j, pairs[hit]]
-            )
-            self._recharge(touched, j)
+        for i, ratio in self._server_terms[k]:
+            load = float(self._server_load_arr[i])
+            self._server_load_arr[i] = load + ratio if commit else load - ratio
+            self._recharge_server(i)
+        for j, full in enumerate(self._row_charged):
+            if full[k]:
+                touched, moved = users, self._pair_ratio[j][pairs]
+            else:
+                hit = self._pair_charged[j][pairs]
+                touched, moved = users[hit], self._pair_ratio[j][pairs[hit]]
+            load = self._user_load_arr[:, j]
+            new = load[touched]
+            if commit:
+                new += moved
+            else:
+                new -= moved
+            load[touched] = new
+            self._exp_user[:, j][touched] = self.mu ** new
         self._epoch += 1
 
     def release(self, stream_id: str) -> None:
@@ -617,7 +639,7 @@ class OnlineAllocator:
                 f"stream {self._idx.stream_ids[k]!r} is not active "
                 "(never offered, rejected, or already released)"
             )
-        self._move_load(k, self._idx.s_user[pairs], pairs, np.subtract)
+        self._move_load(k, self._idx.s_user[pairs], pairs, commit=False)
 
     # ------------------------------------------------------------------
     # State snapshot / restore (the serving layer's durability hooks)

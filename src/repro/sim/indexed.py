@@ -356,8 +356,14 @@ class IndexedVideoSim:
         self._utility_rate = TimeWeightedValue()
         self._server_load = {i: TimeWeightedValue() for i in self._finite_budget}
         self._user_stats = ColumnarTimeWeighted(idx.num_users)
-        #: event position -> (kept user indices, their pair rows, their w).
-        self._sessions: "dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]" = {}
+        # Stream-major row bounds, and the guard's duplicate-test scratch
+        # (see :meth:`_distinct`).
+        self._row_bounds: "list[int]" = idx.s_indptr.tolist()
+        self._stamp = np.zeros(idx.num_users, dtype=np.int64)
+        #: Live sessions: admitting event position -> (kept user indices,
+        #: their pair rows, their utilities w, and the utilities'
+        #: sequential sum, kept so the departure does not re-add them).
+        self._sessions: "dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, float]]" = {}
         self.offered = 0
         self.admitted = 0
         self.deliveries = 0
@@ -367,43 +373,69 @@ class IndexedVideoSim:
     # Event handlers (mirror VideoDistributionSim exactly)
     # ------------------------------------------------------------------
 
+    def _distinct(self, receivers: np.ndarray) -> bool:
+        """Whether every receiver is a user index and none repeats.
+
+        A range test, then a stamp test: each receiver writes its own
+        position into a per-user scratch array, and a repeat leaves one
+        of its positions overwritten.  No sort.
+        """
+        n = receivers.shape[0]
+        stamp = self._stamp
+        num_users = stamp.shape[0]
+        if n > num_users or int(receivers.min()) < 0 or int(receivers.max()) >= num_users:
+            return False
+        own = np.arange(n)
+        stamp[receivers] = own
+        return np.count_nonzero(stamp[receivers] == own) == n
+
     def _clip_to_feasible(
         self, k: int, receivers: np.ndarray
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        """Hard feasibility guard over index arrays; counts violations
-        exactly as the dict engine's per-user loop does.  Duplicate
-        receivers collapse to the first occurrence (like the dict
-        engine), so the scatter updates stay one-write-per-user."""
-        idx = self.idx
-        if receivers.size and not self.view.fits_server_index(k):
+    ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """Hard feasibility guard over index arrays.
+
+        Returns the kept receivers, their pair rows and their utilities,
+        and counts violations exactly as the dict engine's per-user loop
+        does.  Duplicate receivers collapse to the first occurrence
+        (like the dict engine), so the scatter updates stay
+        one-write-per-user; only an answer with a duplicate or an index
+        outside ``[0, num_users)`` pays for the sort that finds them.
+        Every distinct receiver is then checked once against one mask —
+        in ``k``'s interest row, positive utility, within every finite
+        capacity — and each one the mask drops is one violation.  When
+        nothing is dropped the inputs come back uncopied.
+        """
+        if not receivers.size:
+            return receivers, receivers, self.idx.s_w[:0]
+        if not self.view.fits_server_index(k):
             self.policy_violations += 1
-            return receivers[:0], receivers[:0]
-        if receivers.size == 0:
-            return receivers, receivers
-        unique, first = np.unique(receivers, return_index=True)
-        if unique.size != receivers.size:
+            return receivers[:0], receivers[:0], self.idx.s_w[:0]
+        if not self._distinct(receivers):
+            _, first = np.unique(receivers, return_index=True)
             receivers = receivers[np.sort(first)]
-        lo, hi = int(idx.s_indptr[k]), int(idx.s_indptr[k + 1])
-        row = idx.s_user[lo:hi]  # ascending user indices
-        if row.size:
-            position = np.searchsorted(row, receivers)
-            clipped = np.minimum(position, row.size - 1)
-            present = row[clipped] == receivers
-            pairs = lo + clipped
-        else:
-            present = np.zeros(receivers.size, dtype=bool)
-            pairs = np.zeros(receivers.size, dtype=np.int64)
-        w = np.zeros(receivers.size)
-        w[present] = idx.s_w[pairs[present]]
-        positive = w > 0.0
+        n = receivers.shape[0]
+        lo, hi = self._row_bounds[k], self._row_bounds[k + 1]
+        idx = self.idx
+        if lo == hi:  # nobody is interested: every receiver is absent
+            self.policy_violations += n
+            return receivers[:0], receivers[:0], idx.s_w[:0]
+        # Each receiver's pair row, clipped into k's row; the user there
+        # equals the receiver iff the receiver is interested.
+        pairs = idx.s_user[lo:hi].searchsorted(receivers)
+        np.minimum(pairs, hi - lo - 1, out=pairs)
+        pairs += lo
+        users = idx.s_user[pairs]
+        weights = idx.s_w[pairs]
         # Zero/absent utility pairs are violations (w_u(S) <= 0), exactly
-        # like the dict loop; capacity checks run only on the survivors.
-        self.policy_violations += int(np.count_nonzero(~positive))
-        users = receivers[positive]
-        user_pairs = pairs[positive]
-        fits = self.view.fits_pairs(users, user_pairs)
-        self.policy_violations += int(np.count_nonzero(~fits))
-        return users[fits], user_pairs[fits]
+        # like the dict loop; so are pairs that do not fit.
+        keep = users == receivers
+        keep &= weights > 0.0
+        keep &= self.view.fits_pairs(users, pairs)
+        kept = np.count_nonzero(keep)
+        if kept == n:
+            return receivers, pairs, weights
+        self.policy_violations += n - kept
+        return receivers[keep], pairs[keep], weights[keep]
 
     def _on_arrival(self, position: int, k: int, now: float) -> "bool | None":
         """Offer inactive stream ``k`` to the policy.
@@ -429,31 +461,37 @@ class IndexedVideoSim:
         out so the decision-map driver of
         :class:`~repro.sim.kernel.BatchedVideoSim` applies mapped
         answers through the exact same guard + accounting sequence.
+        The guard (:meth:`_clip_to_feasible`) hands over the kept
+        receivers with their pair rows and utilities; the session keeps
+        them and its utility total, and its departure returns them as
+        they are.
         """
-        view = self.view
-        users, pairs = self._clip_to_feasible(k, receivers)
+        users, pairs, weights = self._clip_to_feasible(k, receivers)
         if users.size == 0:
             return False
         self.admitted += 1
-        self.deliveries += int(users.size)
+        self.deliveries += users.shape[0]
         idx = self.idx
+        view = self.view
         view.activate_index(k)
         view.server_used += idx.stream_costs[k]
         for i in self._finite_budget:
             self._server_load[i].set(
                 now, view.server_used[i] / idx.budgets[i]
             )
-        weights = idx.s_w[pairs]
-        view.user_used_array[users] += idx.s_loads[pairs]
+        used = view.user_used_array
+        for j in range(idx.mc):
+            used[:, j][users] += idx.s_loads[:, j][pairs]
         self._user_stats.add_at(users, now, weights)
-        # cumsum accumulates sequentially — the dict loop's exact sum.
-        self._utility_rate.add(now, float(np.cumsum(weights)[-1]))
-        self._sessions[position] = (users, pairs, weights)
+        # A sequential accumulate — the dict loop's exact sum.
+        total = float(np.add.accumulate(weights)[-1])
+        self._utility_rate.add(now, total)
+        self._sessions[position] = (users, pairs, weights, total)
         return True
 
     def _on_departure(self, position: int, k: int, now: float) -> None:
         """Depart the live session admitted at trace ``position``."""
-        users, pairs, weights = self._sessions.pop(position)
+        users, pairs, weights, total = self._sessions.pop(position)
         idx = self.idx
         view = self.view
         view.deactivate_index(k)
@@ -462,9 +500,11 @@ class IndexedVideoSim:
             self._server_load[i].set(
                 now, view.server_used[i] / idx.budgets[i]
             )
-        view.user_used_array[users] -= idx.s_loads[pairs]
+        used = view.user_used_array
+        for j in range(idx.mc):
+            used[:, j][users] -= idx.s_loads[:, j][pairs]
         self._user_stats.add_at(users, now, -weights)
-        self._utility_rate.add(now, -float(np.cumsum(weights)[-1]))
+        self._utility_rate.add(now, -total)
         self.policy.on_release_indexed(k, view)
 
     # ------------------------------------------------------------------

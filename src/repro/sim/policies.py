@@ -109,6 +109,9 @@ class ResourceView:
             if not math.isinf(budget)
         ]
         self._stream_costs = idx.stream_costs.tolist()
+        # Per-pair capacity limits by margin, built on first use (see
+        # :meth:`_pair_limits`).
+        self._limits_by_margin: "dict[float, np.ndarray]" = {}
 
     @property
     def instance(self) -> MMDInstance:
@@ -152,30 +155,48 @@ class ResourceView:
         ``margin`` of their caps?"""
         return self.fits_server_index(self.indexed.stream_index[stream_id], margin)
 
-    def fits_pairs(self, users: np.ndarray, pairs: np.ndarray, margin: float = 1.0) -> np.ndarray:
+    def _pair_limits(self, margin: float) -> np.ndarray:
+        """``(mc, nnz)`` per-pair limits ``margin·cap·(1 + rtol)`` over
+        the stream-major pairs; ``inf`` where the cap is infinite.
+
+        Built once per margin, with the float expression of
+        :meth:`fits_user`, so a load compared against a limit gives the
+        scalar probe's answer.  A NaN margin is not cached (NaN keys
+        never match).
+        """
+        limits = self._limits_by_margin.get(margin)
+        if limits is None:
+            idx = self.indexed
+            caps = np.ascontiguousarray(idx.capacities[idx.s_user].T)
+            finite = np.isfinite(caps)
+            limits = np.full(caps.shape, np.inf)
+            with np.errstate(invalid="ignore"):  # an infinite margin × a zero cap
+                limits[finite] = margin * caps[finite] * (1 + FEASIBILITY_RTOL)
+            if margin == margin:
+                self._limits_by_margin[margin] = limits
+        return limits
+
+    def fits_pairs(self, users: np.ndarray, pairs, margin: float = 1.0) -> np.ndarray:
         """Vectorized per-user capacity check for stream-major pairs.
 
-        ``users[i]`` with pair row ``pairs[i]`` (an index into the
-        ``s_*`` arrays) fits iff delivering that pair keeps every finite
-        capacity within ``margin`` of its cap.  Returns a boolean mask.
+        ``users[i]`` is the user of pair row ``pairs[i]`` (an index into
+        the ``s_*`` arrays; ``pairs`` may also be a slice of them).  The
+        pair fits iff delivering it keeps every finite capacity within
+        ``margin`` of its cap.  Returns a boolean mask.
         """
-        idx = self.indexed
-        ok = np.ones(users.shape[0], dtype=bool)
-        for j in range(idx.mc):
-            cap = idx.capacities[users, j]
-            finite = np.isfinite(cap)
-            with np.errstate(invalid="ignore"):
-                over = self.user_used_array[users, j] + idx.s_loads[pairs, j] > (
-                    margin * cap * (1 + FEASIBILITY_RTOL)
-                )
-            ok &= ~(finite & over)
-        return ok
+        limits = self._pair_limits(margin)
+        loads = self.indexed.s_loads
+        used = self.user_used_array
+        over = np.zeros(users.shape[0], dtype=bool)
+        for j, limit in enumerate(limits):
+            over |= used[:, j][users] + loads[:, j][pairs] > limit[pairs]
+        return np.logical_not(over, out=over)
 
     def row_fit_mask(self, k: int, margin: float = 1.0) -> np.ndarray:
         """Capacity-fit mask over stream ``k``'s interested-user row."""
         idx = self.indexed
         lo, hi = int(idx.s_indptr[k]), int(idx.s_indptr[k + 1])
-        return self.fits_pairs(idx.s_user[lo:hi], np.arange(lo, hi, dtype=np.int64), margin)
+        return self.fits_pairs(idx.s_user[lo:hi], slice(lo, hi), margin)
 
     def fits_user(self, user_id: str, stream_id: str, margin: float = 1.0) -> bool:
         """Would delivering the stream keep this user's capacities within

@@ -202,7 +202,7 @@ class GatherAndMaskAllocator(OnlineAllocator):
             if mask.any():
                 touched = users[mask]
                 self._user_load_arr[touched, j] += sign * (load[mask] / cap[mask])
-                self._recharge(touched, j)
+                self._exp_user[touched, j] = self.mu ** self._user_load_arr[touched, j]
         self._epoch += 1
 
     def offer_indexed(self, k):
@@ -341,6 +341,103 @@ class TestKernelBitIdentity:
                 assert np.array_equal(got, want)
         _assert_same_charges(restored, reference)
         assert restored.state_digest() == reference.state_digest()
+
+
+def mixed_rows(seed: int, mc: int, streams: int = 12, users: int = 10,
+               reversed_ids: bool = False) -> MMDInstance:
+    """Instance whose rows are fully charged on some measures and mixed
+    on others.
+
+    Even streams interest only the first half of the users, whose caps
+    are all finite, and load every measure: those rows are charged on
+    every pair.  Odd streams interest everyone, with infinite caps and
+    zero loads among them.  With ``reversed_ids`` user index order is
+    the reverse of the lexicographic id order (the drop order's
+    tie-break).
+    """
+    rng = random.Random(seed)
+    ids = [f"u{u:02d}" for u in range(users)]
+    if reversed_ids:
+        ids.reverse()
+    catalog = [Stream(f"s{s:02d}", (rng.uniform(0.5, 3.0),)) for s in range(streams)]
+    people = []
+    for u, uid in enumerate(ids):
+        finite = u < users // 2
+        caps = tuple(
+            rng.uniform(2.0, 6.0) if finite or rng.random() < 0.5 else math.inf
+            for _ in range(mc)
+        )
+        utilities, loads = {}, {}
+        for s in range(streams):
+            clean = s % 2 == 0
+            if (clean and not finite) or rng.random() < 0.3:
+                continue
+            sid = f"s{s:02d}"
+            utilities[sid] = rng.uniform(0.5, 10.0)
+            loads[sid] = tuple(
+                rng.uniform(0.1, 1.5) if clean or rng.random() < 0.7 else 0.0
+                for _ in range(mc)
+            )
+        people.append(User(uid, math.inf, caps, utilities, loads))
+    return MMDInstance(catalog, people, (streams * 0.6,), name=f"mixed-{seed}")
+
+
+ROW_SHORTCUT_INSTANCES = [
+    pytest.param(lambda: small_streams_indexed_workload(40, 80, seed=2008), id="perfbench-mc1"),
+    pytest.param(lambda: mixed_rows(7, mc=1), id="mixed-mc1"),
+    pytest.param(lambda: mixed_rows(8, mc=2, reversed_ids=True), id="mixed-mc2-reversed-ids"),
+]
+
+
+@pytest.mark.parametrize("enforce", [True, False], ids=["guard", "noguard"])
+@pytest.mark.parametrize("make", ROW_SHORTCUT_INSTANCES)
+def test_row_shortcuts_match_reference(make, enforce):
+    """The unmasked path over fully charged rows, the masked path over
+    mixed rows and the guard's ``-inf`` ratios give the reference's
+    answers, charges and state, offer by offer and release by release,
+    also where user index order is not user-id rank order."""
+    inst = make()
+    fast = OnlineAllocator(inst, enforce_budgets=enforce)
+    reference = GatherAndMaskAllocator(inst, enforce_budgets=enforce)
+    idx = fast._idx
+    full = np.array(fast._row_charged)[:, np.diff(idx.s_indptr) > 0]
+    if idx.name == "small-streams":  # the perfbench shape: every row charged
+        assert idx.mc == 1 and full.all()
+    else:  # both sides of the shortcut, on every measure
+        assert full.any(axis=1).all() and not full.all(axis=1).any()
+    admits = rejections = 0
+    for release, k in _ops(inst, seed=29, count=300):
+        got = _step(fast, release, k)
+        want = _step(reference, release, k)
+        if got is None:
+            assert want is None
+            continue
+        assert np.array_equal(got, want)
+        admits += got.size > 0
+        rejections += got.size == 0
+        _assert_same_charges(fast, reference)
+        assert fast.state_digest() == reference.state_digest()
+    assert admits > 5 and rejections > 5
+    if full.all():
+        return
+    # Off-path values on an uncharged (user, measure) with an infinite
+    # cap: a restored load past the cap, then a µ^L cache of ``inf``.
+    # Neither may reach a charge, the hard guard or a commit.
+    for k in sorted(fast._active_pairs):
+        fast.release_indexed(k)
+        reference.release_indexed(k)
+    caps = idx.capacities[idx.s_user]
+    j, pair = next(zip(*np.nonzero(np.isinf(caps.T))))
+    u, k = int(idx.s_user[pair]), int(idx.s_pair_stream[pair])
+    state = fast.state_dict()
+    state["user_load"][u, j] = 5.0
+    for allocator in (fast, reference):
+        allocator.load_state(state)
+        allocator._exp_user[u, j] = np.inf
+    _assert_same_charges(fast, reference)
+    got, want = fast.offer_indexed(k), reference.offer_indexed(k)
+    assert np.array_equal(got, want) and u in got
+    assert fast.state_digest() == reference.state_digest()
 
 
 @pytest.mark.parametrize("seed", range(6))

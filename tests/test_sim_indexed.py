@@ -9,7 +9,9 @@ hypothesis-driven tests replay the same dict-drawn trace under all
 three engines for every built-in policy and assert equality with
 ``==``, plus determinism-under-seed for the vectorized trace draw,
 horizon-boundary and tie-breaking agreement, adversarial arrival
-patterns for the decision map and its dispatch rule, the indexed
+patterns for the decision map and its dispatch rule, the guard's
+counts on adversarial index answers (out-of-range, absent, duplicate
+and over-capacity receivers), the indexed
 kernel's parking of stable rejections (tie order at wakes, policies
 that never park, tokens that move without a state change, Allocate's
 rejection bookkeeping, a reject-dominated fuzz), and regression tests
@@ -267,6 +269,75 @@ class TestEngineParity:
         )
         for one, two in zip(serial, parallel):
             assert_reports_identical(one, two)
+
+
+class GuardProbePolicy(AdmissionPolicy):
+    """Index-native answers that reach every branch of the simulator's
+    guard: negative indices and indices of at least ``num_users``,
+    users outside the stream's row (zero-utility pairs), duplicates in
+    unsorted order, and — as sessions pile up on tight capacities —
+    users over capacity and streams over the server budget.  The answer
+    depends on the stream index alone, so it is order-free."""
+
+    name = "guard-probe"
+    batch_order_free = True
+
+    def on_offer(self, stream_id, view):
+        raise AssertionError("the array engines call on_offer_indexed")
+
+    def on_offer_indexed(self, k, view):
+        num_users = view.indexed.num_users
+        row = view.interested_row(k)
+        outside = np.setdiff1d(np.arange(num_users), row)
+        case = k % 4
+        if case == 0:
+            bad = [-1, num_users, -num_users - 2, num_users + 5]
+            return np.concatenate((row[::-1], bad))
+        if case == 1:
+            return np.concatenate((outside[:2], row, outside[:1]))
+        if case == 2:
+            return np.concatenate((row[::-1], row[1:], row[:1]))
+        return np.concatenate((row[1::2], [-1], row[::2], [num_users], row[1::2]))
+
+
+class TestGuardOnIndexAnswers:
+    """The guard's counts and accounting on adversarial index answers,
+    pinned to the figures of the guard that deduplicated every answer
+    with a sort (``np.unique``) and checked presence, utility and
+    capacity in separate passes."""
+
+    #: 21 of the violations are server-budget refusals and 287 are
+    #: receivers over capacity; the other 138 are indices out of range
+    #: or outside the stream's row.
+    PINNED = {
+        "offered": 89,
+        "admitted": 33,
+        "deliveries": 82,
+        "policy_violations": 446,
+        "utility_time": 2548.3199279460946,
+    }
+    PER_USER = {
+        "u000": 277.72751408367776, "u001": 158.95856034184595,
+        "u002": 304.82531317641485, "u003": 255.73726271230205,
+        "u004": 111.18031141903082, "u005": 82.5807984448511,
+        "u006": 318.1861653531699, "u007": 287.9650001937308,
+        "u008": 414.51421524790004, "u009": 336.644786973171,
+    }
+
+    @pytest.mark.parametrize("engine", ["indexed", "batched"])
+    def test_adversarial_answers_pinned(self, engine):
+        instance = random_mmd(
+            9, 10, m=1, mc=2, seed=12, density=0.5,
+            budget_fraction=0.6, capacity_fraction=0.3,
+        )
+        trace = draw_trace(
+            instance, ArrivalModel(rate=3.0, mean_duration=6.0),
+            horizon=50.0, seed=4, engine="dict",
+        )
+        report = simulate_trace(instance, GuardProbePolicy(), trace, 50.0, engine=engine)
+        got = {name: getattr(report, name) for name in self.PINNED}
+        assert got == self.PINNED
+        assert report.per_user_utility == self.PER_USER
 
 
 class TestVectorizedDraw:

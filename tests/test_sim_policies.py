@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
-import pytest
+import math
+import random
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.instance import FEASIBILITY_RTOL, MMDInstance, Stream, User
 from repro.instances.workloads import iptv_neighborhood_workload
 from repro.sim.policies import (
     AllocatePolicy,
@@ -43,6 +50,77 @@ class TestResourceView:
         sid = workload.stream_ids()[0]
         expected = {u.user_id for u in workload.users if sid in u.utilities}
         assert set(view.interested_users(sid)) == expected
+
+
+def _capacity_instance(seed: int, mc: int) -> MMDInstance:
+    """Random users with finite and infinite caps on ``mc`` measures,
+    some zero loads and some streams nobody wants."""
+    rng = random.Random(seed)
+    streams = [Stream(f"s{s}", (1.0,)) for s in range(6)]
+    users = []
+    for u in range(7):
+        caps = tuple(
+            math.inf if rng.random() < 0.3 else rng.uniform(0.5, 5.0) for _ in range(mc)
+        )
+        utilities, loads = {}, {}
+        for s in range(4):  # streams s4 and s5 have empty rows
+            if rng.random() < 0.6:
+                utilities[f"s{s}"] = rng.uniform(1.0, 3.0)
+                loads[f"s{s}"] = tuple(
+                    0.0 if rng.random() < 0.2 else rng.uniform(0.05, 1.0) * min(cap, 2.0)
+                    for cap in caps
+                )
+        users.append(User(f"u{u}", math.inf, caps, utilities, loads))
+    return MMDInstance(streams, users, (10.0,))
+
+
+def _fill(view: ResourceView, rng: random.Random) -> None:
+    """Random usage: below, near, exactly at and over the caps."""
+    idx = view.indexed
+    for u in range(idx.num_users):
+        for j in range(idx.mc):
+            cap = float(idx.capacities[u, j])
+            base = 4.0 if math.isinf(cap) else cap
+            view.user_used_array[u, j] = rng.choice(
+                [0.0, rng.uniform(0.0, base), base, base * (1 + FEASIBILITY_RTOL), 1.3 * base]
+            )
+
+
+class TestVectorizedCapacityFit:
+    """``fits_pairs`` and ``row_fit_mask`` compare against per-pair
+    limits built once per view and margin; they must equal the scalar
+    ``fits_user`` loop for every pair, every margin and every usage,
+    including a margin first used after the usage moved and a cached
+    margin read again after it moved."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**16), mc=st.integers(2, 3))
+    def test_matches_scalar_probe(self, seed, mc):
+        instance = _capacity_instance(seed, mc)
+        view = ResourceView(instance)
+        idx = view.indexed
+        rng = random.Random(seed)
+
+        def check(margin):
+            for k, sid in enumerate(instance.stream_ids()):
+                expected = [
+                    view.fits_user(uid, sid, margin) for uid in view.interested_users(sid)
+                ]
+                assert view.row_fit_mask(k, margin).tolist() == expected
+            # Every pair at once, shuffled across streams.
+            pairs = np.array(rng.sample(range(idx.nnz), idx.nnz), dtype=np.int64)
+            users = idx.s_user[pairs]
+            expected = [
+                view.fits_user(idx.user_ids[int(u)], idx.stream_ids[int(s)], margin)
+                for u, s in zip(users, idx.s_pair_stream[pairs])
+            ]
+            assert view.fits_pairs(users, pairs, margin).tolist() == expected
+
+        _fill(view, rng)
+        check(1.0)
+        for margin in (0.01, 0.5, 1.6, 1.0):  # 1.0 is read from the cache
+            _fill(view, rng)
+            check(margin)
 
 
 class TestThresholdPolicy:
